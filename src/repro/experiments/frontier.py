@@ -94,7 +94,7 @@ def frontier_cell(config: ExperimentConfig, engine: str) -> Dict:
                 maint_moved += m.bytes_moved
 
     store = res.store
-    net_stored = sum(store.get(cid).data_bytes for cid in store.cids())
+    net_stored = sum(store.data_bytes(cid) for cid in store.cids())
     logical = sum(r.logical_bytes for r in reports)
     ingest_seconds = sum(r.elapsed_seconds for r in reports)
 

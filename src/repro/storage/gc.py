@@ -14,6 +14,13 @@ that loop the way container-log systems do:
    victim, and re-point both the chunk index and the retained recipes at
    the moved copies.
 
+A pass works on whole arrays, never chunk by chunk: the retained recipes
+are concatenated and sorted once by ``(fingerprint, container)``, and the
+three marks of a pass (utilization before, live bytes after the redirect,
+utilization after) each reduce the distinct pairs against the sealed
+container ids. Container sizes come from the store's resident directory,
+so measuring the log never faults a spilled container back in.
+
 The report quantifies the trade the paper leaves implicit: how much of
 DeFrag's compression sacrifice is *transient* (reclaimable once old
 generations expire) versus permanent.
@@ -23,10 +30,9 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-
-from typing import TYPE_CHECKING
+import numpy as np
 
 from repro._util import check_fraction
 from repro.storage.recipe import BackupRecipe
@@ -51,8 +57,10 @@ class GCReport:
         bytes_moved: live payload bytes rewritten during compaction.
         remapped_recipes: retained recipes rewritten to the new layout.
         utilization_before / utilization_after: live fraction of the log.
-        redirected_chunks: recipe references repointed to a redirect
-            target instead of being copied (reverse-reference passes).
+        redirected_chunks: distinct ``(fingerprint, old container)``
+            pairs repointed to a redirect target instead of being copied
+            (reverse-reference passes) — not the number of recipe
+            references, which can be larger.
     """
 
     containers_examined: int
@@ -87,36 +95,31 @@ class GarbageCollector:
 
     # ------------------------------------------------------------------
 
+    def _sealed(self) -> np.ndarray:
+        """Sorted ids of the sealed containers."""
+        return np.asarray(self.store.cids(), dtype=np.int64)
+
+    def _data_bytes(self, sealed: np.ndarray) -> np.ndarray:
+        """Payload bytes of each sealed container, read from the store's
+        resident directory (a spilled container is never faulted in)."""
+        size = self.store.data_bytes
+        return np.fromiter((size(cid) for cid in sealed.tolist()), np.int64, len(sealed))
+
     def live_bytes_per_container(
         self, retained: Sequence[BackupRecipe]
     ) -> Dict[int, int]:
         """Mark phase: payload bytes of each container referenced by any
         retained recipe (each distinct fingerprint counted once)."""
-        live: Dict[int, Set[int]] = {}
-        sizes: Dict[int, int] = {}
-        for recipe in retained:
-            for fp, size, cid in zip(
-                recipe.fingerprints, recipe.sizes, recipe.containers
-            ):
-                fp, cid = int(fp), int(cid)
-                if self.store.has(cid):
-                    live.setdefault(cid, set()).add(fp)
-                    sizes[fp] = int(size)
-        return {
-            cid: sum(sizes[fp] for fp in fps) for cid, fps in live.items()
-        }
+        sealed = self._sealed()
+        refs = _References(retained)
+        live, referenced = refs.live_bytes(refs.cid, sealed)
+        return dict(zip(sealed[referenced].tolist(), live[referenced].tolist()))
 
     def log_utilization(self, retained: Sequence[BackupRecipe]) -> float:
         """Live fraction of the sealed log."""
-        live = self.live_bytes_per_container(retained)
-        total = sum(
-            self.store.get(cid).data_bytes
-            for cid in list(self._sealed_cids())
-        )
-        return sum(live.values()) / total if total else 1.0
-
-    def _sealed_cids(self) -> List[int]:
-        return self.store.cids()
+        sealed = self._sealed()
+        refs = _References(retained)
+        return _utilization(refs.live_bytes(refs.cid, sealed)[0], self._data_bytes(sealed))
 
     # ------------------------------------------------------------------
 
@@ -151,44 +154,49 @@ class GarbageCollector:
                 the stale copies immediately, at the cost of re-copying
                 each forced container's remaining live chunks.
 
+        The recipes and ``redirect`` must not name a container the pass
+        itself could seal: the open one (end the open backup first) or
+        an id the log has yet to hand out. The pass appends to the log,
+        so such a name would change meaning halfway through.
+
         Returns:
             ``(report, remapped_recipes)`` — the retained recipes
             rewritten to reference the post-compaction layout, in the
             same order.
         """
         check_fraction("min_utilization", min_utilization)
-        util_before = self.log_utilization(retained)
+        store = self.store
+        refs = _References(retained)
+        sealed = self._sealed()
+        data = self._data_bytes(sealed)
+        live, _ = refs.live_bytes(refs.cid, sealed)
+        util_before = _utilization(live, data)
 
-        pre_moved: Dict[Tuple[int, int], int] = {}
+        # each live fingerprint's redirect target, where one is sealed
+        n_fps = len(refs.fps)
+        target = np.zeros(n_fps, dtype=np.int64)
+        has_target = np.zeros(n_fps, dtype=bool)
         if redirect:
-            for recipe in retained:
-                for fp, cid in zip(recipe.fingerprints, recipe.containers):
-                    fp, cid = int(fp), int(cid)
-                    target = redirect.get(fp)
-                    if target is not None and target != cid and self.store.has(target):
-                        pre_moved[(fp, cid)] = target
-            if pre_moved:
-                retained = [self._remap(r, pre_moved) for r in retained]
+            keys = np.fromiter(redirect, np.uint64, len(redirect))
+            order = np.argsort(keys)
+            at, has_target = _locate(refs.fps, keys[order])
+            targets = np.fromiter(redirect.values(), np.int64, len(redirect))[order]
+            target[has_target] = targets[at[has_target]]
+            has_target &= _locate(target, sealed)[1]
+        # pre-moved pairs: references repointed at their target up front
+        pre = has_target[refs.fp] & (target[refs.fp] != refs.cid)
+        cids = np.where(pre, target[refs.fp], refs.cid)
+        if pre.any():
+            live, _ = refs.live_bytes(cids, sealed)
 
-        live_by_cid = self.live_bytes_per_container(retained)
-        sealed = self._sealed_cids()
-
-        # which fingerprints are live (referenced by any retained recipe)
-        live_fps: Set[int] = set()
-        for recipe in retained:
-            live_fps.update(int(fp) for fp in recipe.fingerprints)
-
-        forced: Set[int] = (
-            {cid for (_fp, cid) in pre_moved} if rewrite_redirected else set()
-        )
-        victims: List[int] = []
-        for cid in sealed:
-            data = self.store.get(cid).data_bytes
-            if data == 0:
-                continue
-            if cid in forced or live_by_cid.get(cid, 0) / data < min_utilization:
-                victims.append(cid)
-        victim_set = set(victims)
+        nonempty = data != 0
+        ratio = np.divide(live, data, out=np.zeros(len(data)), where=nonempty)
+        selected = ratio < min_utilization
+        if rewrite_redirected:
+            at, found = _locate(refs.cid[pre], sealed)
+            selected[at[found]] = True
+        victims = sealed[nonempty & selected]
+        victim_list = victims.tolist()
 
         # The pass is two-phase so a crash can roll either direction
         # (journaled stores only; the journal is free-of-charge off):
@@ -204,91 +212,92 @@ class GarbageCollector:
         inj = self._injector()
         gc_ctx = inj.tagged("gc") if inj is not None else _NULL_CTX
         with gc_ctx:
-            if self.store.journaled:
-                self.store.journal_append({"kind": "gc_mark", "victims": list(victims)})
+            if store.journaled:
+                store.journal_append({"kind": "gc_mark", "victims": list(victim_list)})
 
-            moved: Dict[Tuple[int, int], int] = dict(pre_moved)
-            moved_fp: Dict[int, int] = {}  # fp -> new_cid (move each copy once)
+            # a superseded copy is reclaimed when its redirect target
+            # survives the pass; every other live chunk is copied once
+            redirected_ok = has_target & ~_locate(target, victims)[1]
+            moved_to = np.full(n_fps, -1, dtype=np.int64)  # fp -> its new copy
+            # per victim: the fingerprint ranks of its live chunks, and
+            # the container each one now lives in
+            swept: List[Tuple[np.ndarray, np.ndarray]] = []
             bytes_reclaimed = 0
             bytes_moved = 0
-            for cid in victims:
-                sealed_container = self.store.read_container(cid)  # charged read
-                for fp, size in zip(
-                    sealed_container.fingerprints, sealed_container.sizes
-                ):
-                    fp, size = int(fp), int(size)
-                    if fp in live_fps:
-                        if redirect is not None:
-                            target = redirect.get(fp)
-                            if (
-                                target is not None
-                                and target != cid
-                                and target not in victim_set
-                                and self.store.has(target)
-                            ):
-                                # a superseded copy: its redirect target
-                                # already holds the chunk — reclaim it
-                                bytes_reclaimed += size
-                                moved[(fp, cid)] = target
-                                continue
-                        new_cid = moved_fp.get(fp)
-                        if new_cid is None:
-                            new_cid = self.store.append(fp, size)  # charged on seal
-                            moved_fp[fp] = new_cid
-                            bytes_moved += size
-                            if self.index is not None:
-                                from repro.index.full_index import ChunkLocation
+            for cid in victim_list:
+                sealed_container = store.read_container(cid)  # charged read
+                rank, is_live = _locate(sealed_container.fingerprints, refs.fps)
+                rank = rank[is_live]
+                sizes = sealed_container.sizes[is_live]
+                redirected = redirected_ok[rank]
+                # the first copy of a live chunk not yet moved is copied;
+                # any later copy is a dead duplicate the moved one serves
+                fresh = np.flatnonzero(~redirected & (moved_to[rank] < 0))
+                first = np.sort(np.unique(rank[fresh], return_index=True)[1])
+                copy = fresh[first]
+                copied = 0
+                if copy.size:
+                    fps = refs.fps[rank[copy]].tolist()
+                    copy_sizes = sizes[copy].tolist()
+                    new_cids = store.append_run(fps, copy_sizes)  # charged on seal
+                    moved_to[rank[copy]] = new_cids
+                    copied = sum(copy_sizes)
+                    if self.index is not None:
+                        self._repoint(fps, new_cids)
+                bytes_moved += copied
+                bytes_reclaimed += int(sealed_container.sizes.sum()) - copied
+                swept.append((rank, np.where(redirected, target[rank], moved_to[rank])))
+            store.flush()
 
-                                old = self.index.peek(fp)
-                                sid = old.sid if old is not None else -1
-                                self.index.update(fp, ChunkLocation(new_cid, sid))
-                        else:
-                            # a second dead-duplicate copy of a live chunk:
-                            # the already-moved copy serves it
-                            bytes_reclaimed += size
-                        moved[(fp, cid)] = new_cid
-                    else:
-                        bytes_reclaimed += size
-            self.store.flush()
+            # follow the sweep's moves: a pair whose container was a
+            # victim takes the new home of its chunk. A redirect target
+            # that was itself a victim resolves here too, so every
+            # reference lands on a survivor.
+            moved = np.zeros(len(cids), dtype=bool)
+            if swept:
+                cids, moved = _follow(refs.fp, cids, victims, swept)
 
-            # a redirect target may itself have been a victim (a canonical
-            # copy stranded in a mostly-dead container): collapse
-            # redirect -> compaction chains so every journaled mapping —
-            # and every final recipe reference — lands on a survivor
-            changed = bool(pre_moved)
-            while changed:
-                changed = False
-                for (fp, cid), new_cid in list(moved.items()):
-                    final = moved.get((fp, new_cid))
-                    if final is not None and final != new_cid:
-                        moved[(fp, cid)] = final
-                        changed = True
-
-            if self.store.journaled:
-                self.store.journal_append(
+            if store.journaled:
+                store.journal_append(
                     {
                         "kind": "gc_commit",
-                        "victims": list(victims),
-                        "moved": dict(moved),
+                        "victims": list(victim_list),
+                        "moved": _move_map(refs, pre, cids, victim_list, swept),
                     }
                 )
-            for cid in victims:
-                self.store.remove(cid)
+            for cid in victim_list:
+                store.remove(cid)
 
-        remapped = [self._remap(recipe, moved) for recipe in retained]
-        util_after = self.log_utilization(remapped)
+        if pre.any() or any(len(rank) for rank, _ in swept):
+            remapped = refs.with_containers(cids)
+        else:
+            remapped = list(retained)
+        sealed_after = self._sealed()
+        live_after, _ = refs.live_bytes(cids, sealed_after, moved)
+        util_after = _utilization(live_after, self._data_bytes(sealed_after))
         report = GCReport(
             containers_examined=len(sealed),
-            containers_collected=len(victims),
+            containers_collected=len(victim_list),
             bytes_reclaimed=bytes_reclaimed,
             bytes_moved=bytes_moved,
             remapped_recipes=len(remapped),
             utilization_before=util_before,
             utilization_after=util_after,
-            redirected_chunks=len(pre_moved),
+            redirected_chunks=int(pre.sum()),
         )
         self._record(report)
         return report, remapped
+
+    def _repoint(self, fps: List[int], cids: List[int]) -> None:
+        """Point the index at the moved copies (keeping each entry's
+        segment id)."""
+        from repro.index.full_index import ChunkLocation
+
+        locations = [
+            ChunkLocation(cid, -1 if old is None else old.sid)
+            for cid, old in zip(cids, map(self.index.peek, fps))
+        ]
+        self.index.update_many(fps, locations)
 
     def _record(self, report: GCReport) -> None:
         """Feed the ambient observability session (no-op when disabled)."""
@@ -318,20 +327,185 @@ class GarbageCollector:
                 utilization_after=report.utilization_after,
             )
 
-    def _remap(
-        self, recipe: BackupRecipe, moved: Dict[Tuple[int, int], int]
-    ) -> BackupRecipe:
-        if not moved:
-            return recipe
-        cids = recipe.containers.copy()
-        for i, (fp, cid) in enumerate(zip(recipe.fingerprints, recipe.containers)):
-            new_cid = moved.get((int(fp), int(cid)))
-            if new_cid is not None:
-                cids[i] = new_cid
-        return BackupRecipe(
-            generation=recipe.generation,
-            fingerprints=recipe.fingerprints,
-            sizes=recipe.sizes,
-            containers=cids,
-            label=recipe.label,
+
+def _locate(values: np.ndarray, sorted_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Position of each value in the sorted array ``sorted_ids``, and
+    whether it is there (positions of absent values are meaningless)."""
+    pos = np.searchsorted(sorted_ids, values)
+    found = pos < len(sorted_ids)
+    found[found] = sorted_ids[pos[found]] == values[found]
+    return pos, found
+
+
+def _utilization(live: np.ndarray, data: np.ndarray) -> float:
+    """Live fraction of a log with ``data`` payload bytes per container."""
+    total = int(data.sum())
+    return int(live.sum()) / total if total else 1.0
+
+
+class _References:
+    """The chunk references of the retained recipes, concatenated once
+    and sorted once by ``(fingerprint, container)`` into a table of
+    distinct pairs.
+
+    A remap rewrites a pair's container and every reference of that pair
+    follows it, so references match ``(fingerprint, container)`` exactly
+    by construction.
+    """
+
+    def __init__(self, retained: Sequence[BackupRecipe]) -> None:
+        self.recipes = list(retained)
+        fps = np.concatenate(
+            [r.fingerprints for r in self.recipes] or [[]], dtype=np.uint64, casting="unsafe"
         )
+        cids = np.concatenate(
+            [r.containers for r in self.recipes] or [[]], dtype=np.int64, casting="unsafe"
+        )
+        #: size of every reference, in recipe order
+        self.sizes = np.concatenate(
+            [r.sizes for r in self.recipes] or [[]], dtype=np.int64, casting="unsafe"
+        )
+        order = np.lexsort((cids, fps))
+        fps, cids = fps[order], cids[order]
+        new_fp = np.ones(len(fps), dtype=bool)
+        new_fp[1:] = fps[1:] != fps[:-1]
+        new_pair = new_fp.copy()
+        new_pair[1:] |= cids[1:] != cids[:-1]
+        ends_pair = np.ones(len(fps), dtype=bool)
+        ends_pair[:-1] = new_pair[1:]
+        #: the sorted distinct fingerprints (the live set)
+        self.fps = fps[new_fp]
+        # per pair: its fingerprint's rank in self.fps, its container,
+        # and its first and last reference (the sort is stable)
+        self.fp = (np.cumsum(new_fp) - 1)[new_pair]
+        self.cid = cids[new_pair]
+        self.first = order[new_pair]
+        self.last = order[ends_pair]
+        #: the pair of every reference, in recipe order
+        self.pair = np.empty(len(fps), dtype=np.int64)
+        self.pair[order] = np.cumsum(new_pair) - 1
+
+    def live_bytes(
+        self, cids: np.ndarray, sealed: np.ndarray, moved: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Mark: the live payload bytes of each container in ``sealed``
+        when pair ``i`` references container ``cids[i]``, and whether any
+        pair references it. A fingerprint counts once per container, at
+        the size of its last reference into a sealed container.
+
+        Pairs merged by a remap must sit next to each other, except those
+        flagged in ``moved``: the sweep sent them to containers it wrote,
+        which no other pair references, so they are deduplicated on
+        their own.
+        """
+        n = len(sealed)
+        pos, found = _locate(cids, sealed)
+        fp = self.fp[found]
+        last = np.full(len(self.fps), -1, dtype=np.int64)
+        np.maximum.at(last, fp, self.last[found])
+        # (fingerprint, container) as one exact mixed-radix key, not a hash
+        key = fp * n + pos[found]
+        went = moved[found] if moved is not None else np.zeros(len(key), dtype=bool)
+        stay = key[~went]
+        distinct = np.ones(len(stay), dtype=bool)
+        distinct[1:] = stay[1:] != stay[:-1]
+        keys = np.concatenate([stay[distinct], np.unique(key[went])])
+        fp, pos = np.divmod(keys, max(n, 1))
+        live = np.bincount(pos, weights=self.sizes[last[fp]], minlength=n)
+        return live.astype(np.int64), np.bincount(pos, minlength=n) > 0
+
+    def with_containers(self, cids: np.ndarray) -> List[BackupRecipe]:
+        """The retained recipes, each reference moved to its pair's
+        container in ``cids``."""
+        rows = cids[self.pair]
+        out = []
+        start = 0
+        for r in self.recipes:
+            stop = start + r.n_chunks
+            out.append(
+                BackupRecipe(
+                    generation=r.generation,
+                    fingerprints=r.fingerprints,
+                    sizes=r.sizes,
+                    containers=rows[start:stop].astype(r.containers.dtype),
+                    label=r.label,
+                )
+            )
+            start = stop
+        return out
+
+
+#: a ``(fingerprint, container)`` pair as one sortable record
+_PAIR = np.dtype([("fp", np.uint64), ("cid", np.int64)])
+
+
+def remap_recipes(
+    recipes: Sequence[BackupRecipe], moved: Dict[Tuple[int, int], int]
+) -> List[BackupRecipe]:
+    """Apply a move map ``(fingerprint, old cid) -> new cid`` (a
+    journaled ``gc_commit`` record) to ``recipes``.
+
+    A reference moves only when both its fingerprint and its container
+    match a key: the keys are sorted as ``(fingerprint, container)``
+    records and each distinct reference pair is found by binary search.
+    With no moves the recipes come back unchanged, as the same objects.
+    """
+    if not moved:
+        return list(recipes)
+    keys = np.empty(len(moved), dtype=_PAIR)
+    keys["fp"] = np.fromiter((fp for fp, _ in moved), np.uint64, len(moved))
+    keys["cid"] = np.fromiter((cid for _, cid in moved), np.int64, len(moved))
+    new = np.fromiter(moved.values(), np.int64, len(moved))
+    order = np.lexsort((keys["cid"], keys["fp"]))
+    keys, new = keys[order], new[order]
+    refs = _References(recipes)
+    pairs = np.empty(len(refs.cid), dtype=_PAIR)
+    pairs["fp"] = refs.fps[refs.fp]
+    pairs["cid"] = refs.cid
+    pos, hit = _locate(pairs, keys)
+    cids = refs.cid.copy()
+    cids[hit] = new[pos[hit]]
+    return refs.with_containers(cids)
+
+
+def _follow(
+    fp: np.ndarray,
+    cids: np.ndarray,
+    victims: np.ndarray,
+    swept: List[Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Send each pair ``(fp[i], cids[i])`` the sweep moved to its chunk's
+    new container. ``swept`` holds, per victim, the fingerprint ranks of
+    its live chunks and where each went. Returns the new containers and
+    which pairs moved."""
+    n = len(victims)
+    # (fingerprint, victim) as one exact mixed-radix key, not a hash
+    key = np.concatenate([rank * n + i for i, (rank, _) in enumerate(swept)])
+    homes = np.concatenate([home for _, home in swept])
+    order = np.argsort(key, kind="stable")
+    key, homes = key[order], homes[order]
+    at, in_victim = _locate(cids, victims)
+    pos, moved = _locate(fp * n + at, key)
+    moved &= in_victim
+    cids = cids.copy()
+    cids[moved] = homes[pos[moved]]
+    return cids, moved
+
+
+def _move_map(
+    refs: _References,
+    pre: np.ndarray,
+    cids: np.ndarray,
+    victims: List[int],
+    swept: List[Tuple[np.ndarray, np.ndarray]],
+) -> Dict[Tuple[int, int], int]:
+    """The journaled move map ``(fingerprint, old cid) -> new cid``: the
+    redirect repoints in first-reference order, each resolved to its
+    final container, then the sweep's moves in sweep order."""
+    pairs = np.flatnonzero(pre)
+    pairs = pairs[np.argsort(refs.first[pairs])]
+    keys = zip(refs.fps[refs.fp[pairs]].tolist(), refs.cid[pairs].tolist())
+    moved = dict(zip(keys, cids[pairs].tolist()))
+    for victim, (rank, home) in zip(victims, swept):
+        moved.update(zip(zip(refs.fps[rank].tolist(), [victim] * len(rank)), home.tolist()))
+    return moved

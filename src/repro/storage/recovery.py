@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.storage.gc import remap_recipes
 from repro.storage.recipe import BackupRecipe
 from repro.storage.store import ContainerStore
 
@@ -145,26 +146,9 @@ class RecoveryScanner:
                     (int(fp), int(cid)): int(new)
                     for (fp, cid), new in last.get("moved", {}).items()
                 }
-                remapped = [self._remap(r, moved) for r in retained]
+                remapped = remap_recipes(retained, moved)
                 rolled_forward = True
         return rolled_back, rolled_forward, remapped
-
-    @staticmethod
-    def _remap(recipe: BackupRecipe, moved: Dict) -> BackupRecipe:
-        if not moved:
-            return recipe
-        cids = recipe.containers.copy()
-        for i, (fp, cid) in enumerate(zip(recipe.fingerprints, recipe.containers)):
-            new_cid = moved.get((int(fp), int(cid)))
-            if new_cid is not None:
-                cids[i] = new_cid
-        return BackupRecipe(
-            generation=recipe.generation,
-            fingerprints=recipe.fingerprints,
-            sizes=recipe.sizes,
-            containers=cids,
-            label=recipe.label,
-        )
 
     def _rebuild_index(self) -> Tuple[int, int]:
         """Scan committed container metadata and rebuild the full index."""

@@ -443,6 +443,12 @@ class ContainerStore:
         """True if ``cid`` refers to a sealed container."""
         return cid in self._meta
 
+    def data_bytes(self, cid: int) -> int:
+        """Payload bytes of sealed container ``cid``, served from the
+        resident directory: a spilled container is never faulted back in.
+        Raises KeyError for unknown or still-open containers."""
+        return self._meta[cid][1]
+
     def prefetch_meta(self, cid: int) -> np.ndarray:
         """Read a container's metadata section (its fingerprints) from
         disk — the DDFS locality prefetch. Charges one seek plus the
