@@ -49,16 +49,15 @@ def main() -> None:
     v1 = make_version1(8 * MIB)
     v2 = edit(v1, n_edits=60)
 
-    chunker = GearChunker(avg_size=8192)  # skip-then-scan fast path
+    chunker = GearChunker(avg_size=8192)
     stream1 = chunker.chunk(v1, fingerprints="fast")
     stream2 = chunker.chunk(v2, fingerprints="fast")
     print(f"v1: {format_bytes(len(v1))} -> {len(stream1)} chunks")
     print(f"v2: {format_bytes(len(v2))} -> {len(stream2)} chunks")
     stats = chunker.last_stats
     print(
-        f"   scanned {100 * stats.scan_bytes / stats.bytes_in:.0f}% of the "
-        f"input, skipped {100 * stats.skipped_bytes / stats.bytes_in:.0f}% "
-        "(min-size regions + early-exit tails)"
+        f"   {stats.candidates} masked-hash candidates, {stats.chunks_out} "
+        "cuts after the min/max clamps"
     )
 
     resources = EngineResources.create()

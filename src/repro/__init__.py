@@ -34,7 +34,6 @@ from repro.chunking import (
     ChunkStream,
     FixedChunker,
     GearChunker,
-    RabinChunker,
 )
 from repro.core import (
     AlwaysRewritePolicy,
@@ -107,7 +106,6 @@ __all__ = [
     "ChunkStream",
     "FixedChunker",
     "GearChunker",
-    "RabinChunker",
     "AlwaysRewritePolicy",
     "CappingPolicy",
     "DeFragEngine",

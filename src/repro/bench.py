@@ -10,16 +10,15 @@ does change — how long the simulator itself takes to run. It measures
 * the fig6 all-generation restore from a pre-ingested DDFS-Like store
   (the most fragmented layout) through the default reader and the
   FAA + read-ahead reader, and
-* byte-level CDC over a fixed random buffer through the Gear
-  skip-then-scan fast path and the exact 64-pass reference sweep (plus
-  the batch fingerprint fold),
+* byte-level Gear CDC over a fixed random buffer (plus the batch
+  fingerprint fold),
 
 and compares each against a committed baseline so regressions fail
-loudly. The chunking gate is double-sided: the fast path must stay
-within 2x of its own committed time *and* at least 5x faster than the
-committed exact-path rate. Used by ``python -m repro bench`` and
-``benchmarks/record.py``; the committed records live in
-``BENCH_ingest.json``, ``BENCH_restore.json``, and
+loudly. The chunking gate is double-sided: the cut must stay within 2x
+of its own committed time *and* at least 5x faster than the committed
+rate of the exact 64-pass sweep (the test oracle's algorithm). Used by
+``python -m repro bench`` and ``benchmarks/record.py``; the committed
+records live in ``BENCH_ingest.json``, ``BENCH_restore.json``, and
 ``BENCH_chunking.json`` at the repo root.
 """
 
@@ -76,9 +75,9 @@ DRIFT_EPSILON = 0.02
 #: a de-vectorized ingest path is ~8x)
 REGRESSION_FACTOR = 2.0
 
-#: the skip-then-scan chunking path must stay at least this many times
-#: faster (MB/s) than the committed exact-path baseline — the point of
-#: the fast path; falling below it means the skip/scan structure broke
+#: the chunker must stay at least this many times faster (MB/s) than the
+#: committed rate of the exact 64-pass reference sweep — the point of the
+#: narrow-lane evaluation; falling below it means that structure broke
 CHUNKING_SPEEDUP_FLOOR = 5.0
 
 
@@ -242,49 +241,43 @@ def chunking_fixture(nbytes: int = 8 * 1024 * 1024, seed: int = 2012) -> bytes:
     return rng.integers(0, 256, size=int(nbytes), dtype="uint8").tobytes()
 
 
-def measure_chunking(
-    data: bytes, *, exact: bool = False, repeats: int = 3
-) -> Dict:
+def measure_chunking(data: bytes, *, repeats: int = 3) -> Dict:
     """Best-of-``repeats`` wall-clock seconds cutting ``data`` with the
-    Gear chunker (skip-then-scan fast path, or the exact 64-pass
-    reference sweep when ``exact``), plus the cut count and the fast
-    path's scanned-byte fraction."""
+    Gear chunker, plus the cut count."""
     from repro.chunking.gear import GearChunker
 
-    chunker = GearChunker(exact=exact)
+    chunker = GearChunker()
     best = float("inf")
     boundaries = None
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         boundaries = chunker.cut_boundaries(data)
         best = min(best, time.perf_counter() - t0)
-    stats = chunker.last_stats
-    assert boundaries is not None and stats is not None
+    assert boundaries is not None
     return {
         "seconds": best,
         "mb_per_s": (len(data) / 1e6) / best,
         "n_chunks": len(boundaries) - 1,
-        "scan_fraction": stats.scan_bytes / max(stats.bytes_in, 1),
     }
 
 
 def run_chunking_bench(
-    *, repeats: int = 3, exact: bool = True, nbytes: int = 8 * 1024 * 1024
+    *, repeats: int = 3, nbytes: int = 8 * 1024 * 1024
 ) -> Dict:
     """Measure the byte-level chunking path and return the result record.
 
+    The cut timings keep the committed record's ``seqcdc_*`` key names
+    so both gates read ``BENCH_chunking.json`` as recorded.
+
     Args:
         repeats: repetitions per measurement (best-of wins).
-        exact: also measure the exact 64-pass reference sweep (slow; the
-            ``--quick`` CLI mode skips it — the gate compares against
-            the *committed* exact baseline either way).
         nbytes: buffer size; stays fixed so records are comparable.
     """
     from repro.chunking.fingerprint import fingerprint_segments_fast
     from repro.chunking.gear import GearChunker
 
     data = chunking_fixture(nbytes)
-    fast = measure_chunking(data, exact=False, repeats=repeats)
+    fast = measure_chunking(data, repeats=repeats)
     result: Dict = {
         "benchmark": f"gear CDC over a {nbytes // (1024 * 1024)} MiB random buffer",
         "python": platform.python_version(),
@@ -294,19 +287,7 @@ def run_chunking_bench(
         "seqcdc_seconds": round(fast["seconds"], 4),
         "seqcdc_mb_per_s": round(fast["mb_per_s"], 1),
         "n_chunks": fast["n_chunks"],
-        "scan_fraction": round(fast["scan_fraction"], 4),
     }
-    if exact:
-        ref = measure_chunking(data, exact=True, repeats=repeats)
-        result["exact_seconds"] = round(ref["seconds"], 4)
-        result["exact_mb_per_s"] = round(ref["mb_per_s"], 1)
-        result["speedup"] = round(fast["mb_per_s"] / ref["mb_per_s"], 2)
-        result["identical_cuts"] = bool(
-            (
-                GearChunker().cut_boundaries(data)
-                == GearChunker(exact=True).cut_boundaries(data)
-            ).all()
-        )
     boundaries = GearChunker().cut_boundaries(data)
     t0 = time.perf_counter()
     fingerprint_segments_fast(data, boundaries)
@@ -334,10 +315,10 @@ def check_chunking_regression(
     """None if the chunking measurement holds both gates, else a
     human-readable failure message.
 
-    Gate 1 (regression): fresh skip-then-scan time within ``factor`` of
-    the committed skip-then-scan time. Gate 2 (structure): fresh
-    skip-then-scan MB/s at least ``speedup_floor`` times the *committed*
-    exact-path MB/s — the fast path's reason to exist.
+    Gate 1 (regression): fresh cut time within ``factor`` of the
+    committed cut time. Gate 2 (structure): fresh cut MB/s at least
+    ``speedup_floor`` times the *committed* exact-sweep MB/s — the
+    narrow-lane path's reason to exist.
     """
     rec = baseline.get("chunking", baseline)
     base = rec.get("seqcdc_seconds")
@@ -352,8 +333,8 @@ def check_chunking_regression(
         rate = result["seqcdc_mb_per_s"]
         if rate < speedup_floor * exact_rate:
             return (
-                f"skip-then-scan chunking at {rate:.1f} MB/s is below "
-                f"{speedup_floor:.0f}x the committed exact-path rate "
+                f"chunking at {rate:.1f} MB/s is below "
+                f"{speedup_floor:.0f}x the committed exact-sweep rate "
                 f"({exact_rate:.1f} MB/s)"
             )
     return None

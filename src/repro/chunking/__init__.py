@@ -10,8 +10,6 @@ boundaries. This package provides:
 * :class:`~repro.chunking.fixed.FixedChunker` — fixed-size baseline.
 * :class:`~repro.chunking.gear.GearChunker` — Gear-hash content-defined
   chunking, numpy-vectorized (the production path for byte-level input).
-* :class:`~repro.chunking.rabin.RabinChunker` — classic Rabin polynomial
-  fingerprinting CDC (reference implementation).
 * :mod:`~repro.chunking.fingerprint` — 64-bit chunk fingerprints and the
   splitmix64 mixer used for synthetic chunk ids.
 
@@ -23,7 +21,6 @@ ingest path for real data and for validating the chunk-level model.
 from repro.chunking.base import Chunk, Chunker, ChunkStream
 from repro.chunking.fixed import FixedChunker
 from repro.chunking.gear import ChunkScanStats, GearChunker
-from repro.chunking.rabin import RabinChunker
 from repro.chunking.select import select_cuts
 from repro.chunking.fingerprint import (
     fingerprint64,
@@ -41,7 +38,6 @@ __all__ = [
     "ChunkStream",
     "FixedChunker",
     "GearChunker",
-    "RabinChunker",
     "select_cuts",
     "fingerprint64",
     "fingerprint64_fast",

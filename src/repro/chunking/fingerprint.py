@@ -128,6 +128,25 @@ def fingerprint_segments_fast(
     return out
 
 
+#: ``splitmix64(k + 1)`` for in-segment word index ``k``: the per-word key
+#: of the fold, grown on demand to the longest segment seen. A pure
+#: function of ``k``, so sharing it across callers cannot change a result
+_WORD_KEYS = np.zeros(0, dtype=np.uint64)
+
+
+def _word_keys(n_words: int) -> np.ndarray:
+    """The word-key table, at least ``n_words`` long."""
+    global _WORD_KEYS
+    keys = _WORD_KEYS
+    if keys.size < n_words:
+        size = max(n_words, 2 * keys.size)
+        keys = splitmix64_array(np.arange(1, size + 1, dtype=np.uint64))
+        # rebind, never mutate: a caller holding the old table still
+        # reads a complete one
+        _WORD_KEYS = keys
+    return keys
+
+
 def _fold_batch(buf: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """One vectorized fold over the segments delimited by ``bounds``."""
     sizes = np.diff(bounds)
@@ -144,10 +163,9 @@ def _fold_batch(buf: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     n_span = int(bounds[-1] - bounds[0])
     pstarts = 8 * wstarts[:-1]
     if n_span >= 64 * sizes.size:
-        for i in range(sizes.size):
-            s = int(bounds[i])
-            length = int(sizes[i])
-            p = int(pstarts[i])
+        for s, length, p in zip(
+            bounds[:-1].tolist(), sizes.tolist(), pstarts.tolist()
+        ):
             padded[p : p + length] = buf[s : s + length]
     else:
         src = np.arange(n_span, dtype=np.int64)
@@ -157,7 +175,7 @@ def _fold_batch(buf: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     wview = padded.view("<u8")
     # in-segment word index for every word
     karr = np.arange(total_words, dtype=np.int64) - np.repeat(wstarts[:-1], words)
-    mixed = splitmix64_array(wview ^ splitmix64_array(karr + 1))
+    mixed = splitmix64_array(wview ^ _word_keys(int(words.max()))[karr])
     folded = np.bitwise_xor.reduceat(mixed, wstarts[:-1])
     return splitmix64_array(folded ^ splitmix64_array(sizes))
 

@@ -1,60 +1,55 @@
 """Gear-hash content-defined chunking, numpy-vectorized.
 
-The Gear rolling hash is ``h_i = (h_{i-1} << 1) + G[b_i]  (mod 2^64)``
+The Gear rolling hash is ``h_i = (h_{i-1} << 1) + G[x_i]  (mod 2^64)``
 with a random 256-entry gear table ``G``; a boundary is declared where
-``h_i & mask == 0`` (mask with ``log2(avg_size)`` bits), subject to
-min/max chunk-size clamps.
+``h_i & mask == 0`` (mask with the low ``b = round(log2(avg_size))``
+bits set), subject to min/max chunk-size clamps.
 
-Because the left-shift discards bits past 64, the hash at position ``i``
-depends only on the trailing 64 bytes:
+Unrolled, ``h_i = sum_k G[x_{i-k}] << k  (mod 2^64)``. The lag-``k`` term
+is a multiple of ``2^k``, so terms with ``k >= b`` never reach the low
+``b`` bits, and a term with ``k < b`` contributes only the low bits of
+``G``:
 
-    h_i = sum_{k=0..63} G[b_{i-k}] << k   (mod 2^64)
+    h_i mod 2^b = sum_{k<b} G[x_{i-k}] << k  (mod 2^b)
 
-Two evaluation strategies share that identity:
+The boundary test therefore depends only on the trailing ``b`` bytes and
+on ``G`` narrowed to a ``w``-bit lane (``w = 16`` for ``b <= 16``,
+``w = 32`` for ``b <= 32``). The table is also pre-shifted left by
+``w - b``, which moves the ``b`` tested bits to the top of the lane: the
+shifted sum is zero exactly when the masked hash is, so the test needs no
+mask pass.
 
-* **Exact reference** (``exact=True``): evaluate the lag sum literally,
-  one vectorized pass per lag (64 passes), at *every* byte position,
-  then clamp candidates. This is the original path — transparent,
-  definitionally obvious, and the baseline the chunking bench gates
-  against. It now runs block-wise (carrying ``WARMUP`` context bytes
-  between blocks) so temporaries stay bounded on GB-scale buffers.
-* **Skip-then-scan** (default): the SeqCDC idiom. After each cut, the
-  next ``min_size - 1`` positions can never host a boundary, so they are
-  skipped entirely; Gear hashes are evaluated only inside the scan
-  window ``[cut + min_size, cut + max_size)``, in sub-blocks with early
-  exit at the first masked hit. Each scan window is seeded with a
-  63-byte warm-up prefix, which by the trailing-64-bytes identity makes
-  the windowed hashes **bit-identical** to the exact sweep — so the two
-  paths produce identical cut sequences (property-tested), while the
-  fast path hashes roughly ``(avg - min)/avg`` of the input. Sub-block
-  evaluation uses shift-add doubling (6 passes instead of 64): lag sums
-  of length ``2^(k+1)`` are two shifted lag sums of length ``2^k``, and
-  both composition orders are exact mod 2^64.
+The narrowed sum is evaluated over the whole buffer with shift-add
+doubling: after the pass with shift ``s``, position ``i`` holds the lag
+sum over its ``2s`` trailing bytes, so the passes ``s = 1, 2, 4, ...``
+while ``s < b`` cover every lag that reaches the tested bits (four
+passes at the default ``b = 13``). The buffer is walked in fixed
+``_BLOCK``-byte blocks, each re-reading the ``b - 1`` bytes before it, so
+temporaries stay bounded and in cache whatever the input size. Every
+masked hit is a candidate; :func:`repro.chunking.select.select_cuts`
+applies the min/max clamps.
 
-Candidate clamping (min/max enforcement) is shared with the Rabin
-chunker via :func:`repro.chunking.select.select_cuts`, which replaces
-the former per-cut ``searchsorted`` walk with one vectorized
-successor-pointer pass.
+The literal 64-lag uint64 sum is kept in ``tests/oracle/gear_oracle.py``
+as the executable specification; the cuts here must match it on every
+input.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro._util import KIB, MIB, check_positive, rng_from
+from repro._util import KIB, check_positive, rng_from
 from repro.chunking.base import Chunker
 from repro.chunking.select import select_cuts
 
-_U64 = np.uint64
-
-#: the Gear hash at position i depends on bytes (i-63 .. i]; scan blocks
-#: carry this many context bytes so windowed hashes equal the full sweep
-WARMUP = 63
-
-#: shift-add doubling schedule: 6 passes compose all 64 lag contributions
-_DOUBLING_SHIFTS = (1, 2, 4, 8, 16, 32)
+#: bytes per evaluation block. Measured on the 8 MiB ``chunking_fixture``
+#: buffer (x86_64 Xeon, 2 vCPU, numpy 2.4): 64-256 KiB blocks cut at
+#: 350-390 MB/s; 1 MiB blocks drop to ~225 MB/s and one whole-buffer pass
+#: to ~130 MB/s, once the temporaries fall out of cache. 256 KiB is the
+#: widest block on the plateau (fewest per-block numpy calls)
+_BLOCK = 256 * KIB
 
 #: simulated CPU bandwidth for the informational chunking span, matching
 #: ``repro.dedup.base.SegmentCost.cpu_seconds_per_byte`` (1/600e6) so the
@@ -64,22 +59,11 @@ _SIM_CPU_BYTES_PER_SECOND = 600e6
 
 
 class ChunkScanStats(NamedTuple):
-    """Byte accounting of one ``cut_boundaries`` call.
-
-    ``scan_bytes + skipped_bytes == bytes_in`` exactly; ``warmup_bytes``
-    counts context bytes re-hashed to seed scan windows (zero on the
-    exact path, which hashes every position anyway).
-    """
+    """Accounting of one ``cut_boundaries`` call."""
 
     bytes_in: int
     chunks_out: int
-    #: positions whose Gear hash was evaluated for boundary testing
-    scan_bytes: int
-    #: positions never hashed (min-size skips + early-exit window tails)
-    skipped_bytes: int
-    #: warm-up context bytes re-hashed to seed scan sub-blocks
-    warmup_bytes: int
-    #: masked-hash hits observed inside scanned regions
+    #: masked-hash hits over the whole buffer, before the min/max clamps
     candidates: int
 
 
@@ -89,46 +73,20 @@ def _gear_table(seed: int) -> np.ndarray:
     return rng.integers(0, 2**64, size=256, dtype=np.uint64)
 
 
-def _mask_for_average(avg_size: int) -> int:
-    """Boundary mask with ``round(log2(avg))`` low bits set, so boundaries
-    fire with probability 1/avg per position."""
-    bits = max(1, int(round(np.log2(avg_size))))
-    return (1 << bits) - 1
+def _mask_bits(avg_size: int) -> int:
+    """``round(log2(avg))`` (at least 1): the number of low hash bits
+    tested, so boundaries fire with probability 1/avg per position."""
+    return max(1, int(round(np.log2(avg_size))))
 
 
-def _hashes_64pass(g: np.ndarray) -> np.ndarray:
-    """Reference evaluation: the lag sum, one vectorized pass per lag.
-
-    Prefix semantics at the array head (position ``i < 63`` sums lags
-    ``0..i``), matching the rolling definition from a zero state.
-    """
-    h = np.zeros(g.size, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for k in range(64):
-            if k >= g.size:
-                break
-            if k == 0:
-                h += g
-            else:
-                h[k:] += g[:-k] << _U64(k)
-    return h
-
-
-def _hashes_doubling(h: np.ndarray) -> np.ndarray:
-    """Exact Gear hashes via shift-add doubling, in place on ``h``.
-
-    ``h`` enters holding the per-byte gear values ``G[b_i]`` (a fresh
-    array the caller owns). After pass ``k`` position ``i`` holds the
-    lag sum over ``min(i + 1, 2^(k+1))`` trailing bytes, so six passes
-    reproduce the 64-lag sum bit-for-bit (shifts compose: ``j + s <= 63``
-    for every contribution, and addition wraps identically mod 2^64).
-    """
-    with np.errstate(over="ignore"):
-        for s in _DOUBLING_SHIFTS:
-            if s >= h.size:
-                break
-            h[s:] += h[:-s] << _U64(s)
-    return h
+def _narrow_table(table: np.ndarray, bits: int) -> np.ndarray:
+    """The gear table narrowed to the smallest lane holding ``bits`` and
+    shifted so those low bits sit at the top of the lane."""
+    for dtype in (np.uint16, np.uint32):
+        width = np.dtype(dtype).itemsize * 8
+        if bits <= width:
+            return (table << np.uint64(width - bits)).astype(dtype)
+    raise ValueError(f"boundary mask of {bits} bits exceeds 32 (avg_size too large)")
 
 
 class GearChunker(Chunker):
@@ -140,17 +98,6 @@ class GearChunker(Chunker):
         max_size: force a cut at this length if no boundary fired.
         seed: gear-table seed (two chunkers with the same seed cut
             identically — required for dedup to work at all).
-        exact: use the reference exact sweep (hash every position, 64
-            passes) instead of the default skip-then-scan fast path.
-            Both produce bit-identical cut sequences.
-        scan_block: sub-block size in bytes for skip-then-scan window
-            evaluation (default: ``min_size`` clamped to [1 KiB, 32 KiB]
-            — at most ``min_size``, consecutive scan windows never
-            overlap). Smaller blocks hash fewer wasted bytes past the
-            cut; larger blocks amortize per-call overhead. Never affects
-            the cuts.
-        hash_block: block size in bytes for exact-path streaming
-            evaluation (bounds peak temporaries). Never affects the cuts.
 
     After every :meth:`cut_boundaries` call, :attr:`last_stats` holds the
     call's :class:`ChunkScanStats`; when an observability session is
@@ -164,10 +111,6 @@ class GearChunker(Chunker):
         min_size: "int | None" = None,
         max_size: "int | None" = None,
         seed: int = 2012,
-        *,
-        exact: bool = False,
-        scan_block: "int | None" = None,
-        hash_block: int = 4 * MIB,
     ) -> None:
         check_positive("avg_size", avg_size)
         self.avg_size = int(avg_size)
@@ -179,146 +122,37 @@ class GearChunker(Chunker):
                 f"{self.min_size}/{self.avg_size}/{self.max_size}"
             )
         self.seed = int(seed)
-        self.exact = bool(exact)
-        if scan_block is None:
-            scan_block = min(max(self.min_size, KIB), 32 * KIB)
-        check_positive("scan_block", scan_block)
-        self.scan_block = int(scan_block)
-        check_positive("hash_block", hash_block)
-        self.hash_block = int(hash_block)
-        self._table = _gear_table(seed)
-        self._mask = _U64(_mask_for_average(self.avg_size))
+        self._bits = _mask_bits(self.avg_size)
+        self._lanes = _narrow_table(_gear_table(seed), self._bits)
         self.last_stats: Optional[ChunkScanStats] = None
 
-    # ------------------------------------------------------------------
-    # exact reference path
-    # ------------------------------------------------------------------
-
-    def rolling_hashes(self, data: bytes) -> np.ndarray:
-        """Exact Gear hash at every byte position (vectorized).
-
-        Evaluated block-wise with a ``WARMUP``-byte carry between blocks,
-        so peak temporaries are bounded by ``hash_block`` regardless of
-        input size (the output array itself is necessarily O(n)).
-        """
-        buf = np.frombuffer(data, dtype=np.uint8)
+    def _candidates(self, buf: np.ndarray) -> np.ndarray:
+        """Every cut offset ``i + 1`` whose masked hash at ``i`` is zero."""
+        bits = self._bits
+        lanes = self._lanes
+        carry = bits - 1
         n = buf.size
-        out = np.empty(n, dtype=np.uint64)
-        for start, stop, lo in self._hash_blocks(n):
-            h = self._eval_block(buf, lo, stop)
-            out[start:stop] = h[start - lo :]
-        return out
-
-    def _hash_blocks(self, n: int):
-        """(start, stop, warmup_start) triples of the streaming walk."""
-        block = self.hash_block
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            yield start, stop, max(start - WARMUP, 0)
-
-    def _eval_block(self, buf: np.ndarray, lo: int, stop: int) -> np.ndarray:
-        """Exact hashes for positions ``[lo, stop)`` (reference 64-pass)."""
-        return _hashes_64pass(self._table[buf[lo:stop]])
-
-    def _cut_exact(self, data: bytes) -> Tuple[np.ndarray, ChunkScanStats]:
-        buf = np.frombuffer(data, dtype=np.uint8)
-        n = buf.size
-        mask = self._mask
-        chunks = []
-        warmup = 0
-        for start, stop, lo in self._hash_blocks(n):
-            h = self._eval_block(buf, lo, stop)
-            # candidate cut *after* position i  ->  boundary offset i+1
-            chunks.append(np.flatnonzero((h[start - lo :] & mask) == 0) + start + 1)
-            warmup += start - lo
-        candidates = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        )
-        cuts = select_cuts(candidates, n, self.min_size, self.max_size)
-        stats = ChunkScanStats(
-            bytes_in=n,
-            chunks_out=len(cuts) - 1,
-            scan_bytes=n,
-            skipped_bytes=0,
-            warmup_bytes=warmup,
-            candidates=int(candidates.size),
-        )
-        return cuts, stats
-
-    # ------------------------------------------------------------------
-    # skip-then-scan fast path
-    # ------------------------------------------------------------------
-
-    def _cut_seqcdc(self, data: bytes) -> Tuple[np.ndarray, ChunkScanStats]:
-        buf = np.frombuffer(data, dtype=np.uint8)
-        n = buf.size
-        table = self._table
-        mask = self._mask
-        min_s = self.min_size
-        max_s = self.max_size
-        block = self.scan_block
-        cuts = [0]
-        last = 0
-        scan_bytes = 0
-        warmup_bytes = 0
-        hits_total = 0
-        # watermark of positions already hashed: keeps scan_bytes a count
-        # of *distinct* tested positions even when a scan_block larger
-        # than min_size makes consecutive windows overlap (the re-hashed
-        # overlap is accounted as warm-up context instead)
-        hashed_upto = 0
-        while last < n:
-            limit = last + max_s
-            cut = -1
-            # a content cut lands at offset c = i + 1 with
-            # last + min <= c < limit and i < n: hash positions
-            # [last + min - 1, min(limit - 1, n)) — everything before is
-            # the skip region, everything at/after is the forced cut
-            pos = last + min_s - 1
-            stop = min(limit - 1, n)
-            while pos < stop:
-                end = min(pos + block, stop)
-                lo = max(pos - WARMUP, 0)
-                h = _hashes_doubling(table[buf[lo:end]])
-                z = (h[pos - lo :] & mask) == 0
-                fresh = end - max(pos, hashed_upto) if end > hashed_upto else 0
-                scan_bytes += fresh
-                warmup_bytes += (end - pos) - fresh + (pos - lo)
-                if end > hashed_upto:
-                    hashed_upto = end
-                hits = int(z.sum())
-                if hits:
-                    hits_total += hits
-                    cut = pos + int(z.argmax()) + 1
-                    break
-                pos = end
-            if cut < 0:
-                cut = min(limit, n)
-            cuts.append(cut)
-            last = cut
-        boundaries = np.asarray(cuts, dtype=np.int64)
-        stats = ChunkScanStats(
-            bytes_in=n,
-            chunks_out=len(cuts) - 1,
-            scan_bytes=scan_bytes,
-            skipped_bytes=n - scan_bytes,
-            warmup_bytes=warmup_bytes,
-            candidates=hits_total,
-        )
-        return boundaries, stats
-
-    # ------------------------------------------------------------------
+        tmp = np.empty(min(n, _BLOCK + carry), dtype=lanes.dtype)
+        found = []
+        for start in range(0, n, _BLOCK):
+            lo = max(start - carry, 0)
+            h = np.take(lanes, buf[lo : start + _BLOCK])
+            m = h.size
+            s = 1
+            while s < bits and s < m:
+                np.add(h[s:], np.left_shift(h[:-s], s, out=tmp[: m - s]), out=h[s:])
+                s *= 2
+            found.append(np.flatnonzero(h[start - lo :] == 0) + (start + 1))
+        return np.concatenate(found)
 
     def cut_boundaries(self, data: bytes) -> np.ndarray:
-        n = len(data)
-        if n == 0:
-            self._record(ChunkScanStats(0, 0, 0, 0, 0, 0))
+        buf = np.frombuffer(data, dtype=np.uint8)
+        if buf.size == 0:
+            self._record(ChunkScanStats(0, 0, 0))
             return np.zeros(1, dtype=np.int64)
-        if self.exact:
-            cuts, stats = self._cut_exact(data)
-        else:
-            cuts, stats = self._cut_seqcdc(data)
-        self._record(stats)
+        candidates = self._candidates(buf)
+        cuts = select_cuts(candidates, buf.size, self.min_size, self.max_size)
+        self._record(ChunkScanStats(buf.size, cuts.size - 1, candidates.size))
         return cuts
 
     def _record(self, stats: ChunkScanStats) -> None:
@@ -336,9 +170,6 @@ class GearChunker(Chunker):
         r = obs.registry
         r.counter("chunking.bytes_in").inc(stats.bytes_in)
         r.counter("chunking.chunks_out").inc(stats.chunks_out)
-        r.counter("chunking.scan_bytes").inc(stats.scan_bytes)
-        r.counter("chunking.skipped_bytes").inc(stats.skipped_bytes)
-        r.counter("chunking.warmup_bytes").inc(stats.warmup_bytes)
         r.counter("chunking.candidates").inc(stats.candidates)
         obs.span(
             "chunking.phase.cut", stats.bytes_in / _SIM_CPU_BYTES_PER_SECOND
@@ -347,6 +178,5 @@ class GearChunker(Chunker):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"GearChunker(avg={self.avg_size}, min={self.min_size}, "
-            f"max={self.max_size}, seed={self.seed}, "
-            f"{'exact' if self.exact else 'seqcdc'})"
+            f"max={self.max_size}, seed={self.seed})"
         )

@@ -12,9 +12,9 @@ precomputed pointers with O(1) Python work per chunk; only forced
 max-size cuts (which land between candidates and therefore have no
 precomputed pointer) fall back to a lazy ``searchsorted``.
 
-This replaces the per-cut ``np.searchsorted`` walk that dominated the
-exact Gear path's selection cost, and is shared by the Gear and Rabin
-chunkers (their candidate semantics are identical).
+This replaces a per-cut ``np.searchsorted`` walk. The Gear chunker and
+its reference oracle in ``tests/oracle/gear_oracle.py`` both clamp with
+it.
 """
 
 from __future__ import annotations

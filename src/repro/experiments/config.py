@@ -114,7 +114,7 @@ class ExperimentConfig:
     batch: bool = True
     #: feed the group workload through the byte-level ingest path:
     #: per-generation buffers are materialized from the churn model,
-    #: CDC-chunked by the Gear skip-then-scan fast path, and batch
+    #: CDC-chunked by the whole-buffer Gear chunker, and batch
     #: fingerprinted (bytes -> CDC -> fingerprint -> engine ->
     #: containers). False keeps the chunk-level streams the recorded
     #: figures were measured with.

@@ -79,8 +79,8 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         )
     if config.byte_level:
         notes["input"] = (
-            "byte-level ingest: generated buffers -> Gear skip-then-scan "
-            "CDC -> batch fingerprint -> engines"
+            "byte-level ingest: generated buffers -> Gear CDC -> batch "
+            "fingerprint -> engines"
         )
     return FigureResult(
         figure="Fig4",

@@ -285,23 +285,18 @@ class MetricsRegistry:
 
 def chunking_summary(snap: Dict) -> List[Tuple[str, str]]:
     """Derived CDC figures from the raw ``chunking.*`` counters and the
-    ``chunking.phase.cut`` span (PR 6): mean chunk size, the skip-then-
-    scan byte split, and candidate density. Empty when the snapshot has
-    no chunking activity (non-byte-level runs)."""
+    ``chunking.phase.cut`` span: mean chunk size and the masked-hash
+    candidates behind the cuts. Empty when the snapshot has no chunking
+    activity (non-byte-level runs)."""
     counters = snap.get("counters", {})
     bytes_in = counters.get("chunking.bytes_in", 0)
     if not bytes_in:
         return []
     chunks = counters.get("chunking.chunks_out", 0)
-    scanned = counters.get("chunking.scan_bytes", 0)
-    warmup = counters.get("chunking.warmup_bytes", 0)
-    skipped = counters.get("chunking.skipped_bytes", 0)
     out = [
         ("bytes_in", f"{bytes_in}"),
         ("chunks_out", f"{chunks}"),
         ("mean_chunk_bytes", f"{bytes_in / chunks:.1f}" if chunks else "0"),
-        ("scan_fraction", f"{(scanned + warmup) / bytes_in:.4f}"),
-        ("skipped_fraction", f"{skipped / bytes_in:.4f}"),
         ("candidates", f"{counters.get('chunking.candidates', 0)}"),
     ]
     cut = snap.get("spans", {}).get("chunking.phase.cut")

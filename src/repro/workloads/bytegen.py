@@ -104,8 +104,8 @@ def byte_backup(fs: FileSystemModel) -> bytes:
 
 
 def default_byte_chunker(avg_size: Optional[int] = None, seed: int = 2012) -> GearChunker:
-    """The byte-level pipeline's chunker: the Gear skip-then-scan fast
-    path at the workload's average chunk size (8 KiB by default)."""
+    """The byte-level pipeline's chunker: Gear CDC at the workload's
+    average chunk size (8 KiB by default)."""
     if avg_size is None:
         return GearChunker(seed=seed)
     return GearChunker(avg_size=avg_size, seed=seed)

@@ -1,74 +1,136 @@
-"""Skip-then-scan Gear path: bit-identical to the exact reference sweep.
+"""The narrow-lane Gear path against the 64-lag oracle, cut for cut.
 
-The tentpole contract: ``GearChunker()`` (SeqCDC-style skip-then-scan)
-and ``GearChunker(exact=True)`` (the 64-pass full sweep) produce the
-same cut sequence on every input, for every block-size knob — the knobs
-tune memory and speed, never the cuts. Property-tested here with twin
-runs, plus the shared :func:`select_cuts` clamp against a naive scalar
-reference, the documented edge cases, bounded-allocation streaming, and
-the byte-accounting invariants behind the ``chunking.*`` counters.
+``GearChunker`` evaluates only the low ``b = log2(avg)`` hash bits, in
+uint16 lanes for ``b <= 16`` and uint32 lanes above, block by block with
+a ``b - 1``-byte carry. ``tests/oracle/gear_oracle.py`` evaluates the
+full uint64 rolling hash at every byte. Every property here requires the
+two to cut identically: across mask widths (both lane types), min/max
+clamps, arbitrary bytes, and buffer lengths around block seams. The
+shared :func:`select_cuts` clamp is checked against a naive scalar walk,
+and the ``chunking.*`` accounting against the oracle's candidates.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chunking.gear import WARMUP, GearChunker
+from repro.bench import chunking_fixture
+from repro.chunking import gear
+from repro.chunking.gear import GearChunker
 from repro.chunking.select import select_cuts
 from repro.obs import obs_session
+
+from tests.oracle.gear_oracle import cut_exact, rolling_hashes
+
+#: mask widths under test: uint16 lanes (8, 13 = the default, 16 = a
+#: full lane) and the uint32 branch (17)
+MASK_BITS = (8, 13, 16, 17)
 
 
 def random_bytes(n: int, seed: int = 0) -> bytes:
     return bytes(np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8))
 
 
+def assert_matches_oracle(chunker: GearChunker, data: bytes) -> None:
+    np.testing.assert_array_equal(
+        chunker.cut_boundaries(data), cut_exact(chunker, data)
+    )
+
+
 class TestTwinRun:
-    """fast path == exact path, cut for cut."""
+    """product == oracle, cut for cut."""
 
     @settings(deadline=None, max_examples=40)
     @given(
         n=st.integers(0, 40_000),
         data_seed=st.integers(0, 2**31 - 1),
         avg=st.sampled_from([256, 1024, 4096]),
-        scan_block=st.sampled_from([64, 1000, 4096]),
-        hash_block=st.sampled_from([4096, 1 << 20]),
     )
-    def test_random_buffers(self, n, data_seed, avg, scan_block, hash_block):
-        data = random_bytes(n, data_seed)
-        fast = GearChunker(avg_size=avg, seed=7, scan_block=scan_block)
-        exact = GearChunker(avg_size=avg, seed=7, exact=True, hash_block=hash_block)
-        np.testing.assert_array_equal(
-            fast.cut_boundaries(data), exact.cut_boundaries(data)
+    def test_random_buffers(self, n, data_seed, avg):
+        assert_matches_oracle(
+            GearChunker(avg_size=avg, seed=7), random_bytes(n, data_seed)
         )
 
     @settings(deadline=None, max_examples=60)
-    @given(data=st.binary(max_size=20_000))
-    def test_arbitrary_bytes(self, data):
+    @given(data=st.binary(max_size=20_000), bits=st.sampled_from(MASK_BITS))
+    def test_arbitrary_bytes(self, data, bits):
         """Structured/repetitive inputs (hypothesis loves runs of one
-        byte) exercise the degenerate-hash corners random data misses."""
-        fast = GearChunker(avg_size=512)
-        exact = GearChunker(avg_size=512, exact=True)
-        np.testing.assert_array_equal(
-            fast.cut_boundaries(data), exact.cut_boundaries(data)
-        )
+        byte) exercise the degenerate-hash corners random data misses;
+        a small min_size keeps the wide masks cutting."""
+        assert_matches_oracle(GearChunker(avg_size=1 << bits, min_size=16), data)
 
     @settings(deadline=None, max_examples=25)
     @given(
         data_seed=st.integers(0, 1000),
-        min_frac=st.sampled_from([1, 2, 4]),
+        min_frac=st.sampled_from([1, 2, 4, 64]),
         max_frac=st.sampled_from([1, 2, 4]),
     )
     def test_nondefault_clamps(self, data_seed, min_frac, max_frac):
         """min/avg/max ratios other than the 1/4 .. 4x defaults."""
         avg = 1024
-        kwargs = dict(
+        chunker = GearChunker(
             avg_size=avg, min_size=avg // min_frac, max_size=avg * max_frac
         )
-        data = random_bytes(12_000, data_seed)
-        np.testing.assert_array_equal(
-            GearChunker(**kwargs).cut_boundaries(data),
-            GearChunker(**kwargs, exact=True).cut_boundaries(data),
+        assert_matches_oracle(chunker, random_bytes(12_000, data_seed))
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        bits=st.sampled_from(MASK_BITS),
+        n=st.integers(1, 300_000),
+        data_seed=st.integers(0, 2**31 - 1),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mask_widths(self, bits, n, data_seed, seed):
+        """Both lane widths, with the tightest clamps so every masked
+        hit past one byte becomes a cut."""
+        chunker = GearChunker(
+            avg_size=1 << bits, min_size=1, max_size=1 << (bits + 2), seed=seed
         )
+        assert_matches_oracle(chunker, random_bytes(n, data_seed))
+
+
+class TestBlockSeams:
+    """Each block re-reads the ``b - 1`` bytes before it; cuts must not
+    depend on where the seams fall."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        bits=st.sampled_from(MASK_BITS),
+        blocks=st.integers(1, 2),
+        delta=st.integers(-17, 17),
+        data_seed=st.integers(0, 2**31 - 1),
+    )
+    def test_lengths_around_block_seams(self, bits, blocks, delta, data_seed):
+        """Buffers of ``k * _BLOCK +- b`` bytes: the last block is either
+        just the carry plus a few bytes or a few bytes short of full."""
+        n = blocks * gear._BLOCK + delta
+        chunker = GearChunker(avg_size=1 << bits, min_size=1)
+        assert_matches_oracle(chunker, random_bytes(n, data_seed))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        bits=st.sampled_from(MASK_BITS),
+        block=st.integers(1, 64),
+        data=st.binary(max_size=3000)
+        | st.builds(random_bytes, st.integers(0, 20_000), st.integers(0, 2**31 - 1)),
+    )
+    def test_tiny_blocks(self, bits, block, data):
+        """Blocks as short as the carry put a seam next to nearly every
+        byte, on random and on structured data."""
+        chunker = GearChunker(avg_size=1 << bits, min_size=1)
+        with mock.patch.object(gear, "_BLOCK", block):
+            assert_matches_oracle(chunker, data)
+
+    def test_chunking_fixture_slice(self):
+        """The bench buffer's first MiB cuts exactly where the oracle
+        does at the default 8 KiB average (four full blocks)."""
+        data = chunking_fixture(1024 * 1024)
+        chunker = GearChunker()
+        cuts = chunker.cut_boundaries(data)
+        assert cuts.size > 100  # sanity: real chunking happened
+        np.testing.assert_array_equal(cuts, cut_exact(chunker, data))
 
 
 class TestSelectCuts:
@@ -117,47 +179,37 @@ class TestSelectCuts:
 
 class TestEdgeCases:
     def test_empty_input(self):
-        for chunker in (GearChunker(), GearChunker(exact=True)):
-            assert chunker.cut_boundaries(b"").tolist() == [0]
-            stats = chunker.last_stats
-            assert stats is not None and stats.bytes_in == 0
-            assert stats.chunks_out == 0
+        chunker = GearChunker()
+        assert chunker.cut_boundaries(b"").tolist() == [0]
+        assert chunker.last_stats == (0, 0, 0)
 
     def test_input_shorter_than_min_size(self):
         data = random_bytes(100)
-        for chunker in (
-            GearChunker(avg_size=1024),
-            GearChunker(avg_size=1024, exact=True),
-        ):
-            assert chunker.cut_boundaries(data).tolist() == [0, 100]
-            assert chunker.last_stats.chunks_out == 1
+        chunker = GearChunker(avg_size=1024)
+        assert chunker.cut_boundaries(data).tolist() == [0, 100]
+        assert chunker.last_stats.chunks_out == 1
 
     def test_zero_candidates_means_forced_max_cuts(self):
         """A constant buffer whose steady-state hash misses the mask has
         no content cuts at all: every boundary is a forced max cut."""
         n = 20_000
-        exact = GearChunker(avg_size=1024, seed=2012, exact=True)
+        chunker = GearChunker(avg_size=1024, seed=2012)
         for b in range(256):
             data = bytes([b]) * n
-            exact_cuts = exact.cut_boundaries(data)
-            if exact.last_stats.candidates == 0:
+            cuts = chunker.cut_boundaries(data)
+            if chunker.last_stats.candidates == 0:
                 break
         else:  # pragma: no cover - (1023/1024)^256 chance per seed
             pytest.skip("every constant byte fires the mask for this seed")
-        fast = GearChunker(avg_size=1024, seed=2012)
-        cuts = fast.cut_boundaries(data)
-        np.testing.assert_array_equal(cuts, exact_cuts)
-        max_size = 4096
-        assert cuts.tolist() == list(range(0, n, max_size)) + [n]
-        assert fast.last_stats.candidates == 0
+        np.testing.assert_array_equal(cuts, cut_exact(chunker, data))
+        assert cuts.tolist() == list(range(0, n, 4096)) + [n]
 
     def test_degenerate_min_avg_max_equal(self):
         """min == avg == max degenerates to fixed-size chunking."""
         data = random_bytes(5000, seed=9)
-        fast = GearChunker(avg_size=512, min_size=512, max_size=512)
-        exact = GearChunker(avg_size=512, min_size=512, max_size=512, exact=True)
-        cuts = fast.cut_boundaries(data)
-        np.testing.assert_array_equal(cuts, exact.cut_boundaries(data))
+        chunker = GearChunker(avg_size=512, min_size=512, max_size=512)
+        cuts = chunker.cut_boundaries(data)
+        np.testing.assert_array_equal(cuts, cut_exact(chunker, data))
         assert cuts.tolist() == list(range(0, 5000, 512)) + [5000]
 
     def test_rejects_bad_clamps(self):
@@ -165,70 +217,11 @@ class TestEdgeCases:
             GearChunker(avg_size=1024, min_size=2048)
         with pytest.raises(ValueError):
             GearChunker(avg_size=1024, max_size=512)
-        with pytest.raises(ValueError):
-            GearChunker(avg_size=1024, scan_block=0)
 
-
-class TestBlockSizeIndependence:
-    def test_10mb_determinism_across_block_sizes(self):
-        """One 10 MB buffer, many block-size knobs, one cut sequence."""
-        data = random_bytes(10 * 1024 * 1024, seed=42)
-        reference = GearChunker().cut_boundaries(data)
-        assert reference.size > 100  # sanity: real chunking happened
-        for scan_block in (257, 1024, 8192, 32 * 1024):
-            got = GearChunker(scan_block=scan_block).cut_boundaries(data)
-            np.testing.assert_array_equal(got, reference)
-        # and a second identical run is bit-identical (determinism)
-        np.testing.assert_array_equal(
-            GearChunker().cut_boundaries(data), reference
-        )
-
-    def test_exact_path_blockwise_matches_one_shot(self):
-        data = random_bytes(100_000, seed=5)
-        small = GearChunker(avg_size=1024, exact=True, hash_block=4096)
-        big = GearChunker(avg_size=1024, exact=True, hash_block=1 << 26)
-        np.testing.assert_array_equal(
-            small.cut_boundaries(data), big.cut_boundaries(data)
-        )
-        np.testing.assert_array_equal(
-            small.rolling_hashes(data), big.rolling_hashes(data)
-        )
-
-
-class TestBoundedAllocation:
-    def test_exact_path_slices_bounded_by_hash_block(self, monkeypatch):
-        """The streaming sweep never materializes a slice larger than
-        ``hash_block + WARMUP`` bytes, however large the input."""
-        hash_block = 8192
-        n = 200_000
-        sizes = []
-        orig = GearChunker._eval_block
-
-        def spy(self, buf, lo, stop):
-            sizes.append(stop - lo)
-            return orig(self, buf, lo, stop)
-
-        monkeypatch.setattr(GearChunker, "_eval_block", spy)
-        chunker = GearChunker(avg_size=1024, exact=True, hash_block=hash_block)
-        chunker.cut_boundaries(random_bytes(n, seed=3))
-        assert len(sizes) == -(-n // hash_block)
-        assert max(sizes) <= hash_block + WARMUP
-
-    def test_rolling_hashes_slices_bounded(self, monkeypatch):
-        hash_block = 4096
-        n = 50_000
-        sizes = []
-        orig = GearChunker._eval_block
-        monkeypatch.setattr(
-            GearChunker,
-            "_eval_block",
-            lambda self, buf, lo, stop: (
-                sizes.append(stop - lo),
-                orig(self, buf, lo, stop),
-            )[1],
-        )
-        GearChunker(hash_block=hash_block).rolling_hashes(random_bytes(n))
-        assert sizes and max(sizes) <= hash_block + WARMUP
+    def test_rejects_masks_wider_than_32_bits(self):
+        GearChunker(avg_size=1 << 32)  # b = 32: the widest uint32 lane
+        with pytest.raises(ValueError, match="32"):
+            GearChunker(avg_size=1 << 33)
 
 
 class TestScanStats:
@@ -236,50 +229,16 @@ class TestScanStats:
     @given(
         n=st.integers(0, 60_000),
         data_seed=st.integers(0, 500),
-        scan_block=st.sampled_from([64, 1024, 8192]),
+        bits=st.sampled_from(MASK_BITS),
     )
-    def test_byte_accounting_partitions_input(self, n, data_seed, scan_block):
-        """scan + skipped == bytes_in exactly, on every input."""
+    def test_stats_match_oracle(self, n, data_seed, bits):
+        """candidates counts every masked hit over the whole buffer."""
         data = random_bytes(n, data_seed)
-        chunker = GearChunker(avg_size=1024, scan_block=scan_block)
+        chunker = GearChunker(avg_size=1 << bits, min_size=1)
         cuts = chunker.cut_boundaries(data)
-        s = chunker.last_stats
-        assert s.bytes_in == n
-        assert s.scan_bytes + s.skipped_bytes == n
-        assert s.scan_bytes >= 0 and s.skipped_bytes >= 0
-        assert s.warmup_bytes >= 0
-        assert s.chunks_out == cuts.size - 1
-
-    def test_skip_region_sharp_bound(self):
-        """Every chunk's first min_size - 1 positions are skipped except
-        for the previous window's sub-block overshoot: the final
-        sub-block extends at most scan_block - 1 bytes past the cut. A
-        small scan_block makes the bound sharp — the quantitative basis
-        of the 'hashes far less than the input' claim."""
-        data = random_bytes(4 * 1024 * 1024, seed=17)
-        chunker = GearChunker(scan_block=64)  # avg 8 KiB: min 2048
-        chunker.cut_boundaries(data)
-        s = chunker.last_stats
-        min_skip = (s.chunks_out - 1) * (chunker.min_size - 1)
-        overshoot = s.chunks_out * (chunker.scan_block - 1)
-        assert s.skipped_bytes >= min_skip - overshoot
-        assert s.scan_bytes <= s.bytes_in - min_skip + overshoot
-
-    def test_fast_path_skips_a_nontrivial_fraction(self):
-        data = random_bytes(4 * 1024 * 1024, seed=17)
-        chunker = GearChunker()  # defaults: avg 8 KiB
-        chunker.cut_boundaries(data)
-        s = chunker.last_stats
-        assert 0 < s.scan_bytes / s.bytes_in < 0.95
-        assert s.skipped_bytes > 0
-
-    def test_exact_path_scans_everything(self):
-        data = random_bytes(100_000, seed=1)
-        chunker = GearChunker(avg_size=1024, exact=True)
-        chunker.cut_boundaries(data)
-        s = chunker.last_stats
-        assert s.scan_bytes == s.bytes_in == 100_000
-        assert s.skipped_bytes == 0
+        mask = np.uint64((1 << bits) - 1)
+        hits = int(np.count_nonzero((rolling_hashes(chunker, data) & mask) == 0))
+        assert chunker.last_stats == (n, cuts.size - 1, hits)
 
 
 class TestObsTwinRun:
@@ -287,16 +246,14 @@ class TestObsTwinRun:
         data = random_bytes(300_000, seed=11)
         plain = GearChunker(avg_size=2048).cut_boundaries(data)
         with obs_session() as obs:
-            recorded = GearChunker(avg_size=2048).cut_boundaries(data)
+            chunker = GearChunker(avg_size=2048)
+            recorded = chunker.cut_boundaries(data)
         np.testing.assert_array_equal(plain, recorded)
         snap = obs.registry.snapshot()
         counters = snap["counters"]
         assert counters["chunking.bytes_in"] == len(data)
-        assert (
-            counters["chunking.scan_bytes"] + counters["chunking.skipped_bytes"]
-            == len(data)
-        )
         assert counters["chunking.chunks_out"] == plain.size - 1
+        assert counters["chunking.candidates"] == chunker.last_stats.candidates
         span = snap["spans"]["chunking.phase.cut"]
         assert span["count"] == 1
         assert span["sim_seconds"] > 0

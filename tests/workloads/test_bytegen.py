@@ -202,5 +202,4 @@ class TestDefaultChunker:
         chunker = default_byte_chunker()
         assert isinstance(chunker, GearChunker)
         assert chunker.avg_size == 8 * 1024
-        assert not chunker.exact
         assert default_byte_chunker(avg_size=2048).avg_size == 2048
