@@ -22,6 +22,7 @@ degrades to byte-identical DDFS behaviour, which the tests assert.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -144,16 +145,19 @@ class DeFragEngine(DDFSEngine):
     # -- batch path -------------------------------------------------------
 
     def _profile_batch(self, segment: Segment, locations) -> SPLProfile:
-        """Phase 2a, vectorized: the SPL profile's shares from one
-        ``np.unique`` over the duplicates' stored-segment ids (identical
-        shares to :func:`~repro.core.spl.spl_profile`)."""
+        """Phase 2a, batched: the SPL profile's shares keyed in ascending
+        sid order (identical shares to
+        :func:`~repro.core.spl.spl_profile`). Chunk counts come from a
+        ``Counter`` — a segment holds a few dozen chunks, too few to pay
+        for numpy calls; byte weights from one ``np.unique``."""
+        if not self.byte_weighted_spl:
+            counts = Counter([loc.sid for loc in locations if loc is not None])
+            return SPLProfile(
+                segment_total=segment.n_chunks, shares=dict(sorted(counts.items()))
+            )
         sids = np.fromiter(
             (loc.sid for loc in locations if loc is not None), dtype=np.int64
         )
-        if not self.byte_weighted_spl:
-            uniq, counts = np.unique(sids, return_counts=True)
-            shares = dict(zip(uniq.tolist(), counts.tolist()))
-            return SPLProfile(segment_total=segment.n_chunks, shares=shares)
         dup_mask = np.fromiter(
             (loc is not None for loc in locations), dtype=bool, count=len(locations)
         )
@@ -166,10 +170,11 @@ class DeFragEngine(DDFSEngine):
 
     def _process_segment_batch(self, segment: Segment) -> SegmentOutcome:
         """Segment-at-a-time identify/decide/place. Identification and the
-        SPL profile are vectorized; the place walk defers the summary-
-        vector inserts to one ``add_many`` (no chunk reads the bloom
-        between a place-phase write and the end of the segment, so the
-        deferral is invisible). Equivalent to the scalar path bit-for-bit."""
+        SPL profile are batched; the place walk defers the summary-vector
+        inserts to one ``add_positions`` (no chunk reads the bloom between
+        a place-phase write and the end of the segment, so the deferral is
+        invisible) that reuses the probe positions hashed for
+        identification. Equivalent to the scalar path bit-for-bit."""
         n = segment.n_chunks
         outcome = SegmentOutcome(index=segment.index, n_chunks=n, nbytes=segment.nbytes)
         assert self._recipe is not None
@@ -177,7 +182,8 @@ class DeFragEngine(DDFSEngine):
         observing = self.obs.enabled
         clock = self.res.disk.clock
         t0 = clock.now
-        locations = self._identify_batch(segment)
+        positions = self.bloom.positions(segment.fps)
+        locations = self._identify_batch(segment, positions)
         t1 = clock.now
         profile = self._profile_batch(segment, locations)
         decision = self.policy.decide(profile)
@@ -221,6 +227,7 @@ class DeFragEngine(DDFSEngine):
         # new/rewritten fp sets are disjoint, so folding the index writes
         # into one insert_many + update_many preserves the final map.
         new_fps: List[int] = []
+        new_events: List[int] = []
         new_slots: List[int] = []
         re_fps: List[int] = []
         re_slots: List[int] = []
@@ -241,6 +248,7 @@ class DeFragEngine(DDFSEngine):
                     continue
                 first_slot[fp] = len(w_fps)
                 new_fps.append(fp)
+                new_events.append(i)
                 new_slots.append(len(w_fps))
                 written += sizes[i]
             else:
@@ -265,8 +273,8 @@ class DeFragEngine(DDFSEngine):
             if re_fps:
                 index.update_many(re_fps, [w_locs[s] for s in re_slots])
             stream.update(zip(w_fps, w_locs))
-        if new_fps:
-            self.bloom.add_many(np.asarray(new_fps, dtype=np.uint64))
+        if new_events:
+            self.bloom.add_positions(positions[new_events])
         outcome.written_new = written
         outcome.removed_dup = removed
         outcome.rewritten_dup = rewritten

@@ -272,10 +272,11 @@ class DDFSEngine(DedupEngine):
                     # LRU refresh with consecutive duplicates collapsed:
                     # re-moving the already-most-recent unit is a no-op,
                     # so the collapsed sequence leaves the identical order
-                    run = uids_arr[r:e]
-                    reps = run[np.concatenate(([0], np.flatnonzero(np.diff(run)) + 1))]
-                    for u in reps.tolist():
-                        touch(u)
+                    last = -1
+                    for u in uids[r:e]:
+                        if u != last:
+                            touch(u)
+                            last = u
                     hits += j - i
                     removed += sum(sizes[i:j])
                     cids[i:j] = [
@@ -340,85 +341,71 @@ class DDFSEngine(DedupEngine):
         self._recipe.add_many(fps, sizes, cids)
         return outcome
 
-    def _identify_batch(self, segment: Segment) -> List[Optional[ChunkLocation]]:
-        """Vectorized pure identification: ``[_resolve_duplicate(fp) for
+    def _identify_batch(
+        self, segment: Segment, positions: Optional[np.ndarray] = None
+    ) -> List[Optional[ChunkLocation]]:
+        """Batched pure identification: ``[_resolve_duplicate(fp) for
         fp in segment.fps]`` with the vector work batched. No chunk is
         written during identification, so the summary vector is static
-        and one ``contains_many`` answers rung 3 for the whole segment;
-        cache membership is re-resolved per locality-prefetch event
-        exactly as in :meth:`_process_segment_batch`. Used by the
-        selective engines (DeFrag, iDedup) whose phase 1 runs before any
-        placement."""
+        and one membership probe answers rung 3 for the whole segment
+        (from ``positions``, the segment's :meth:`BloomFilter.positions`,
+        when the caller already hashed it); cache membership is
+        re-resolved per locality-prefetch event exactly as in
+        :meth:`_process_segment_batch`. Used by the selective engines
+        (DeFrag, iDedup) whose phase 1 runs before any placement.
+
+        A segment is a few dozen chunks, so the walk itself is plain
+        Python: per-chunk work is a dict probe or two, cheaper than the
+        numpy calls it would take to vectorize it."""
         n = segment.n_chunks
-        fps_arr = segment.fps
-        fps = fps_arr.tolist()
-        m0_arr = self.bloom.contains_many(fps_arr)
-        m0 = m0_arr.tolist()
+        fps = segment.fps.tolist()
+        bloom = self.bloom
+        if positions is None:
+            m0 = bloom.contains_many(segment.fps).tolist()
+        else:
+            m0 = bloom.contains_positions(positions).tolist()
         cache = self.cache
+        lookup_list = cache.lookup_list
         touch = cache.touch_unit
         index = self.res.index
         peek = index._map.get  # bound peek fast path; fps already ints
         index_lookup = index.lookup
-        stream = self._stream_new
-        stream_get = stream.get
-        # identification writes nothing, so the stream buffer and summary
-        # vector are static for the whole segment: a cache-missing chunk
-        # that is stream-absent and bloom-negative resolves to None with
-        # no further work, and a whole run of them is skipped in one step
-        skip = ~m0_arr
-        if stream:
-            skip &= ~np.fromiter(map(stream.__contains__, fps), dtype=bool, count=n)
+        stream_get = self._stream_new.get
         locations: List[Optional[ChunkLocation]] = [None] * n
         hits = 0
         i = 0
         while i < n:
-            uids_arr = cache.lookup_many(fps if i == 0 else fps[i:])
-            uids = uids_arr.tolist()
-            miss_rel = np.flatnonzero(uids_arr < 0)
-            run_ok = (uids_arr < 0) & skip[i:]
-            run_stops = np.flatnonzero(~run_ok)
-            base = i
-            while i < n:
+            # nothing but a locality prefetch mutates the cache, so one
+            # lookup answers every chunk up to the next prefetch, and
+            # consecutive recency refreshes of one unit collapse (re-moving
+            # the most recent unit is a no-op)
+            last = -1
+            for uid in lookup_list(fps[i:] if i else fps):
                 fp = fps[i]
-                uid = uids[i - base]
+                i += 1
                 if uid >= 0:
-                    # whole hit run [i, j), as in _process_segment_batch
-                    r = i - base
-                    k = int(np.searchsorted(miss_rel, r))
-                    e = int(miss_rel[k]) if k < miss_rel.size else n - base
-                    j = base + e
-                    run = uids_arr[r:e]
-                    reps = run[np.concatenate(([0], np.flatnonzero(np.diff(run)) + 1))]
-                    for u in reps.tolist():
-                        touch(u)
-                    hits += j - i
-                    locations[i:j] = [
-                        loc if (loc := peek(f)) is not None else ChunkLocation(u, -1)
-                        for f, u in zip(fps[i:j], uids[r:e])
-                    ]
-                    i = j
-                    continue
-                r = i - base
-                if run_ok[r]:
-                    # definitely-new run: every location stays None
-                    t = int(np.searchsorted(run_stops, r))
-                    i = base + (int(run_stops[t]) if t < run_stops.size else n - base)
+                    # rung 1: prefetch cache
+                    if uid != last:
+                        touch(uid)
+                        last = uid
+                    hits += 1
+                    loc = peek(fp)
+                    locations[i - 1] = loc if loc is not None else ChunkLocation(uid, -1)
                     continue
                 loc = stream_get(fp)
                 if loc is not None:
-                    locations[i] = loc
-                    i += 1
+                    # rung 2: current-stream buffer
+                    locations[i - 1] = loc
                     continue
-                if not m0[i]:
-                    i += 1
-                    continue
+                if not m0[i - 1]:
+                    continue  # rung 3: definitely new
+                # rung 4: on-disk index; a miss is a summary-vector false
+                # positive, a hit prefetches and ends this lookup
                 loc = index_lookup(fp)
-                i += 1
-                if loc is None:
-                    continue
-                locations[i - 1] = loc
-                self._prefetch_containers(loc.cid)
-                break
+                if loc is not None:
+                    locations[i - 1] = loc
+                    self._prefetch_containers(loc.cid)
+                    break
         cache.count_hits(hits)
         cache.count_probes(n)
         return locations

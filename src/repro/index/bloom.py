@@ -3,9 +3,13 @@
 A RAM bit array that answers "definitely new" / "possibly seen" for chunk
 fingerprints, letting the engine skip the on-disk index for the common
 new-chunk case. Implemented over a numpy uint64 word array with
-double-hashing (Kirsch–Mitzenmacher): k probe positions derived from two
-independent 64-bit mixes of the fingerprint. All operations come in
-scalar and vectorized (array) forms.
+double-hashing (Kirsch–Mitzenmacher): the ``i``-th of k probe positions
+is ``(h1 + i * h2) mod n_bits``, where ``h1`` and ``h2`` are splitmix64
+mixes of the fingerprint under two salts. One in-place splitmix pass
+hashes both salts of a whole batch at once. All operations come in scalar
+and vectorized (array) forms; :meth:`BloomFilter.positions` and
+:meth:`BloomFilter.add_positions` let a caller that already probed a
+batch insert part of it without hashing again.
 """
 
 from __future__ import annotations
@@ -15,9 +19,13 @@ import math
 import numpy as np
 
 from repro._util import check_fraction, check_positive
-from repro.chunking.fingerprint import splitmix64_array
 
 _U64 = np.uint64
+# double-hashing salts, and the splitmix64 constants
+_SALTS = np.array([[0xA5A5A5A5A5A5A5A5], [0x5EED5EED5EED5EED]], dtype=np.uint64)
+_GAMMA = _U64(0x9E3779B97F4A7C15)
+_MIX1 = _U64(0xBF58476D1CE4E5B9)
+_MIX2 = _U64(0x94D049BB133111EB)
 
 
 class BloomFilter:
@@ -40,20 +48,31 @@ class BloomFilter:
         n_bits = max(64, int(math.ceil(-capacity * math.log(fp_rate) / (ln2 * ln2))))
         self.n_bits = n_bits
         self.n_hashes = max(1, int(round((n_bits / capacity) * ln2)))
+        self._ks = np.arange(self.n_hashes, dtype=np.uint64)
+        self._n_bits = _U64(n_bits)
         self._words = np.zeros((n_bits + 63) // 64, dtype=np.uint64)
         self.n_added = 0
 
     # -- hashing --------------------------------------------------------
 
-    def _positions(self, fps: np.ndarray) -> np.ndarray:
-        """(n, k) array of bit positions for each fingerprint."""
+    def positions(self, fps: np.ndarray) -> np.ndarray:
+        """(n, k) uint64 array of bit positions for each fingerprint."""
         fps = np.asarray(fps, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            h1 = splitmix64_array(fps ^ _U64(0xA5A5A5A5A5A5A5A5))
-            h2 = splitmix64_array(fps ^ _U64(0x5EED5EED5EED5EED)) | _U64(1)
-            ks = np.arange(self.n_hashes, dtype=np.uint64)
-            probes = h1[:, None] + ks[None, :] * h2[:, None]
-        return (probes % _U64(self.n_bits)).astype(np.uint64)
+        # both salted copies in one (2, n) array, mixed in place (uint64
+        # array arithmetic wraps silently)
+        x = fps[None, :] ^ _SALTS
+        x += _GAMMA
+        x ^= x >> _U64(30)
+        x *= _MIX1
+        x ^= x >> _U64(27)
+        x *= _MIX2
+        x ^= x >> _U64(31)
+        h1, h2 = x
+        h2 |= _U64(1)
+        probes = h2[:, None] * self._ks
+        probes += h1[:, None]
+        probes %= self._n_bits
+        return probes
 
     # -- scalar API -----------------------------------------------------
 
@@ -69,24 +88,33 @@ class BloomFilter:
     def add_many(self, fps: np.ndarray) -> None:
         """Insert an array of fingerprints."""
         fps = np.asarray(fps, dtype=np.uint64)
-        if fps.size == 0:
+        if fps.size:
+            self.add_positions(self.positions(fps))
+
+    def add_positions(self, pos: np.ndarray) -> None:
+        """Insert the fingerprints whose :meth:`positions` rows are
+        ``pos`` — the same bits and count as ``add_many`` on them."""
+        if not len(pos):
             return
-        pos = self._positions(fps).ravel()
-        words = (pos >> _U64(6)).astype(np.int64)
-        bits = _U64(1) << (pos & _U64(63))
-        np.bitwise_or.at(self._words, words, bits)
-        self.n_added += int(fps.size)
+        flat = pos.ravel()
+        np.bitwise_or.at(
+            self._words, (flat >> _U64(6)).astype(np.int64), _U64(1) << (flat & _U64(63))
+        )
+        self.n_added += len(pos)
 
     def contains_many(self, fps: np.ndarray) -> np.ndarray:
         """Boolean membership array for ``fps``."""
         fps = np.asarray(fps, dtype=np.uint64)
         if fps.size == 0:
             return np.zeros(0, dtype=bool)
-        pos = self._positions(fps)
+        return self.contains_positions(self.positions(fps))
+
+    def contains_positions(self, pos: np.ndarray) -> np.ndarray:
+        """Boolean membership of the fingerprints whose :meth:`positions`
+        rows are ``pos``."""
         words = (pos >> _U64(6)).astype(np.int64)
         bits = _U64(1) << (pos & _U64(63))
-        hit = (self._words[words] & bits) != 0
-        return hit.all(axis=1)
+        return ((self._words[words] & bits) != 0).all(axis=1)
 
     # -- segment batching -------------------------------------------------
 
@@ -170,7 +198,7 @@ class BloomBatch:
             self._pos = np.zeros((0, 0), dtype=np.uint64)
             self._hit_arr = np.zeros((0, 0), dtype=bool)
             return
-        pos = bloom._positions(fps)
+        pos = bloom.positions(fps)
         rows = (pos >> _U64(6)).astype(np.int64)
         bits = _U64(1) << (pos & _U64(63))
         hit = (bloom._words[rows] & bits) != 0

@@ -8,6 +8,12 @@ placement de-linearizes, that bet pays off less and less — each prefetch
 serves fewer subsequent chunks, page faults multiply, throughput falls
 (Fig. 2). The cache makes that effect measurable: it reports hits per
 inserted unit.
+
+The cache sits on every write, so its upkeep must stay cheap: a prefetch
+or an eviction costs O(1) per unit, and a unit's fingerprints are turned
+into dict keys once per unit id, not once per prefetch (units are
+immutable). Attribution is answered from upsert sequence numbers; see
+:class:`FingerprintPrefetchCache`.
 """
 
 from __future__ import annotations
@@ -77,22 +83,39 @@ class PrefetchCacheStats:
 
 
 
+#: registry marker for a fingerprint several units hold (uids are >= 0)
+_SHARED = -2
+
+
 class FingerprintPrefetchCache:
     """LRU cache of prefetched metadata *units* (containers or blocks).
 
     A unit is an id plus the array of fingerprints it holds. Lookups map a
     fingerprint to the unit that supplied it (refreshing that unit's
-    recency); inserting past capacity evicts whole units and their
-    fingerprints.
+    recency); inserting past capacity evicts whole units.
 
-    The fingerprint → unit mapping is a plain dict maintained
-    incrementally on unit insert/evict: upserting a unit's fingerprints
-    and unmapping an evicted unit's both cost O(unit), never O(cache) —
-    inserting into a flat sorted array would copy the whole mapping per
-    prefetch. Ties between units holding the same fingerprint resolve to
-    the most recently inserted one (dict-update semantics). Scalar
-    :meth:`lookup` and batch :meth:`lookup_many` read the same dict, so
-    the two ingest paths can never disagree.
+    **Sequence attribution.** Units are immutable (sealed containers,
+    sealed blocks, stored manifests), so each unit's fingerprints are
+    registered once per uid: a fingerprint held by one unit maps to that
+    uid, one held by several to the tuple of its holders. Per uid the
+    cache keeps two ints: the sequence number of its last *upsert* (an
+    insert, or a re-prefetch of a cached unit) and whether it is cached.
+    ``lookup(fp)`` answers the holder with the greatest upsert sequence
+    if that holder is cached, and a miss otherwise.
+
+    That is exactly the attribution of an eagerly maintained ``fp -> uid``
+    map in which every upsert points the unit's fingerprints at it
+    (dict-update semantics: the last upserter steals shared fingerprints)
+    and every eviction unmaps the fingerprints still attributed to the
+    evicted unit. By induction, such a map holds ``fp -> last upserter``
+    until that upserter is evicted, and nothing until another holder is
+    upserted again. Here an upsert or an eviction touches only the unit's
+    own two ints, never its fingerprints. The eager map is kept as the
+    executable specification in ``tests/oracle/prefetch_cache_oracle.py``.
+
+    The registry holds ints (and holder tuples of ints) only — no unit
+    array outlives the call that inserted it. Reusing a uid for different
+    contents raises :class:`ValueError`.
 
     Args:
         capacity_units: number of units held (DDFS caches on the order of
@@ -102,15 +125,23 @@ class FingerprintPrefetchCache:
     def __init__(self, capacity_units: int) -> None:
         check_positive("capacity_units", capacity_units)
         self.capacity_units = int(capacity_units)
-        self._units: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        # fingerprint -> covering unit id
-        self._map: Dict[int, int] = {}
-        # uid -> (source array, key list): unit contents are immutable
-        # (sealed containers / sealed blocks), so the int conversion is
-        # paid once per unit, not per re-prefetch; the source array is
-        # kept to detect a uid reused for different contents (tests may
-        # do that; real units never do)
-        self._derived: Dict[int, tuple] = {}
+        # cached uids in LRU order
+        self._units: "OrderedDict[int, None]" = OrderedDict()
+        # cached uid -> itself, plus _SHARED -> _SHARED: a batch lookup
+        # maps registry entries through it in one pass
+        self._live: Dict[int, int] = {_SHARED: _SHARED}
+        # fingerprint -> its one holder's uid, or _SHARED when several
+        # units hold it; those map to the tuple of their holders'
+        # uids (in registration order) in _shared
+        self._holders: Dict[int, int] = {}
+        self._shared: Dict[int, tuple] = {}
+        # per registered uid: sequence number of its last upsert, and its
+        # fingerprint count and content hash (for on_evict and the
+        # reused-uid check)
+        self._seq: Dict[int, int] = {}
+        self._size: Dict[int, int] = {}
+        self._digest: Dict[int, int] = {}
+        self._clock = 0
         self.stats = PrefetchCacheStats()
         # optional (uid, n_fingerprints) eviction callback, wired by the
         # observability layer when event tracing is on
@@ -122,22 +153,44 @@ class FingerprintPrefetchCache:
         self.touch_unit = self._units.move_to_end
 
     def __contains__(self, fp: int) -> bool:
-        return int(fp) in self._map
+        return self._resolve(int(fp)) >= 0
 
     def __len__(self) -> int:
         return len(self._units)
 
+    def _resolve(self, fp: int) -> int:
+        """The unit covering ``fp``: its last-upserted holder if that
+        holder is cached, else -1."""
+        uid = self._live.get(self._holders.get(fp), -1)
+        if uid == _SHARED:
+            uid = self._resolve_shared(fp)
+        return uid
+
+    def _resolve_shared(self, fp: int) -> int:
+        last = max(self._shared[fp], key=self._seq.__getitem__)
+        return self._live.get(last, -1)
+
     def lookup(self, fp: int) -> Optional[int]:
         """Return the unit id whose prefetch covers ``fp``, or None."""
         self.stats.lookups += 1
-        uid = self._map.get(int(fp))
-        if uid is None:
+        uid = self._resolve(int(fp))
+        if uid < 0:
             return None
         self._units.move_to_end(uid)
         self.stats.hits += 1
         return uid
 
     # -- batch interface ------------------------------------------------
+
+    def lookup_list(self, keys: list) -> list:
+        """:meth:`lookup_many` for a list of native ints, answered as a
+        list (the form the engines' per-chunk walks consume)."""
+        out = list(map(self._live.get, map(self._holders.get, keys), repeat(-1)))
+        i = -1
+        for _ in range(out.count(_SHARED)):
+            i = out.index(_SHARED, i + 1)
+            out[i] = self._resolve_shared(keys[i])
+        return out
 
     def lookup_many(self, fps) -> np.ndarray:
         """Batched membership: the unit id covering each fingerprint,
@@ -147,12 +200,7 @@ class FingerprintPrefetchCache:
         consumed probes via :meth:`touch` / :meth:`count_probes` so the
         scalar and batch paths meter identically."""
         keys = fps.tolist() if isinstance(fps, np.ndarray) else fps
-        n = len(keys)
-        if n == 0 or not self._map:
-            return np.full(n, -1, dtype=np.int64)
-        return np.fromiter(
-            map(self._map.get, keys, repeat(-1)), dtype=np.int64, count=n
-        )
+        return np.fromiter(self.lookup_list(keys), dtype=np.int64, count=len(keys))
 
     def touch(self, uid: int) -> None:
         """Account one consumed cache hit: recency refresh + hit count
@@ -169,91 +217,93 @@ class FingerprintPrefetchCache:
         """Account ``n`` consumed membership probes (hits and misses)."""
         self.stats.lookups += int(n)
 
-    # -- mapping maintenance --------------------------------------------
-
-    def _map_upsert(self, keys: list, uid: int) -> None:
-        """Point a unit's fingerprints at ``uid``, stealing attribution
-        from earlier units (dict-update semantics)."""
-        self._map.update(zip(keys, repeat(uid)))
-
-    def _map_evict(self, keys: list, uid: int) -> None:
-        """Unmap an evicted unit's fingerprints — but only those still
-        attributed to it (a fingerprint can appear in several units'
-        metadata; newer inserts steal the attribution)."""
-        m = self._map
-        get = m.get
-        for f in keys:
-            if get(f) == uid:
-                del m[f]
-
-    def _derive(self, uid: int, fps: np.ndarray) -> list:
-        """A unit's fingerprints as native-int dict keys, memoized on its
-        immutable contents."""
-        cached = self._derived.get(uid)
-        if cached is not None and cached[0] is fps:
-            return cached[1]
-        keys = [int(f) for f in fps] if not isinstance(fps, np.ndarray) else fps.tolist()
-        self._derived[uid] = (fps, keys)
-        return keys
-
     # -- unit maintenance -----------------------------------------------
 
     def has_unit(self, uid: int) -> bool:
         """True if unit ``uid`` is currently cached (no recency change)."""
         return uid in self._units
 
-    def insert_unit(self, uid: int, fps: "np.ndarray | Iterable[int]") -> None:
-        """Cache a prefetched unit, evicting LRU units past capacity."""
-        fps = np.asarray(fps, dtype=np.uint64)
-        uid = int(uid)
-        if uid in self._units:
-            # Re-prefetch of a cached unit: refresh recency AND re-register
-            # its fingerprints. A fingerprint can appear in several units'
-            # metadata (e.g. a rewritten duplicate); if a newer unit stole
-            # the mapping and was then evicted, the fingerprint would
-            # otherwise stay unreachable while this unit is still cached.
-            self._units.move_to_end(uid)
-            self._map_upsert(self._derive(uid, self._units[uid]), uid)
+    def _register(self, uid: int, fps: np.ndarray) -> None:
+        """Map a unit's fingerprints to it once, or check that a
+        registered uid still names the same contents."""
+        if uid < 0:
+            raise ValueError(f"unit ids must be >= 0, got {uid}")
+        digest = hash(fps.tobytes())
+        known = self._digest.get(uid)
+        if known is not None:
+            if known != digest or self._size[uid] != len(fps):
+                raise ValueError(f"unit {uid} reused with different contents")
             return
-        self._units[uid] = fps
-        self._map_upsert(self._derive(uid, fps), uid)
+        self._digest[uid] = digest
+        self._size[uid] = len(fps)
+        keys = fps.tolist()
+        holders = self._holders
+        prior = list(map(holders.get, keys))
+        holders.update(zip(keys, repeat(uid)))
+        if prior.count(None) == len(prior):
+            return
+        # fingerprints other units already hold: keep every holder (a
+        # fingerprint repeated within the unit is added once)
+        shared = self._shared
+        for f, h in zip(keys, prior):
+            if h is None:
+                continue
+            holders[f] = _SHARED
+            if h != _SHARED:
+                shared[f] = (h, uid)
+            elif shared[f][-1] != uid:
+                shared[f] += (uid,)
+
+    def _upsert(self, uid: int, fps: "np.ndarray | Iterable[int]") -> None:
+        """Insert or re-prefetch one unit, without evicting."""
+        uid = int(uid)
+        self._register(uid, np.asarray(fps, dtype=np.uint64))
+        self._clock += 1
+        self._seq[uid] = self._clock
+        if uid in self._units:
+            self._units.move_to_end(uid)
+            return
+        self._units[uid] = None
+        self._live[uid] = uid
         self.stats.units_inserted += 1
-        while len(self._units) > self.capacity_units:
-            old_uid, old_fps = self._units.popitem(last=False)
+
+    def _evict_past_capacity(self) -> None:
+        units = self._units
+        while len(units) > self.capacity_units:
+            old_uid = units.popitem(last=False)[0]
+            del self._live[old_uid]
             self.stats.units_evicted += 1
-            self._map_evict(self._derive(old_uid, old_fps), old_uid)
             if self.on_evict is not None:
-                self.on_evict(old_uid, len(old_fps))
+                self.on_evict(old_uid, self._size[old_uid])
+
+    def insert_unit(self, uid: int, fps: "np.ndarray | Iterable[int]") -> None:
+        """Cache a prefetched unit, evicting LRU units past capacity.
+
+        Re-prefetching a cached unit refreshes its recency and makes it
+        the last upserter of its fingerprints again (a newer holder may
+        have taken them and been evicted since)."""
+        self._upsert(uid, fps)
+        self._evict_past_capacity()
 
     def insert_units(self, units: "list[tuple[int, np.ndarray]]") -> None:
         """Cache a *run* of prefetched units in order.
 
         Equivalent to ``insert_unit(uid, fps)`` per pair: upserts in run
-        order attribute each fingerprint to the last unit of the run
-        holding it, and deferring the evictions to the end pops the same
+        order make the last unit of the run holding a fingerprint its
+        attribution, and deferring the evictions to the end pops the same
         least-recent units — nothing observes the cache between the
         inserts."""
         for uid, fps in units:
-            fps = np.asarray(fps, dtype=np.uint64)
-            uid = int(uid)
-            if uid in self._units:
-                # re-prefetch: refresh recency and re-register (see
-                # insert_unit)
-                self._units.move_to_end(uid)
-                self._map_upsert(self._derive(uid, self._units[uid]), uid)
-                continue
-            self._units[uid] = fps
-            self._map_upsert(self._derive(uid, fps), uid)
-            self.stats.units_inserted += 1
-        while len(self._units) > self.capacity_units:
-            old_uid, old_fps = self._units.popitem(last=False)
-            self.stats.units_evicted += 1
-            self._map_evict(self._derive(old_uid, old_fps), old_uid)
-            if self.on_evict is not None:
-                self.on_evict(old_uid, len(old_fps))
+            self._upsert(uid, fps)
+        self._evict_past_capacity()
 
     def clear(self) -> None:
-        """Drop all cached units (e.g. between independent streams)."""
+        """Drop all cached units and the registry (e.g. between
+        independent streams)."""
         self._units.clear()
-        self._map.clear()
-        self._derived.clear()
+        self._live = {_SHARED: _SHARED}
+        self._holders.clear()
+        self._shared.clear()
+        self._seq.clear()
+        self._size.clear()
+        self._digest.clear()

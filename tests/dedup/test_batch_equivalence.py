@@ -85,15 +85,20 @@ def run_twin(name, streams):
 
 def engine_counters(engine):
     """Every engine-level stats counter the two ingest paths must agree
-    on: prefetch-cache hit/miss/eviction accounting, bloom insert count,
+    on: prefetch-cache hit/miss/eviction accounting and LRU order, bloom
+    insert count and bits,
     similarity-index stats, rewrite totals, manifest loads."""
     out = {}
     cache = getattr(engine, "cache", None)
     if cache is not None:
         out["cache"] = dataclasses.astuple(cache.stats)
+        # the cached units in LRU order: a recency refresh one path
+        # skips shows here even when no later eviction depends on it
+        out["cache_lru"] = tuple(cache._units)
     bloom = getattr(engine, "bloom", None)
     if bloom is not None:
         out["bloom_added"] = bloom.n_added
+        out["bloom_words"] = bloom._words.tobytes()
     similarity = getattr(engine, "similarity", None)
     if similarity is not None:
         out["similarity"] = dataclasses.astuple(similarity.stats)
@@ -162,6 +167,50 @@ class TestBatchScalarEquivalence:
         streams = [j.stream for j in jobs]
         batch_print, scalar_print = run_twin(name, streams)
         assert batch_print == scalar_print
+
+
+#: ladder engines with a prefetch cache small enough that every recency
+#: refresh decides a later eviction, and one-section prefetches, so an
+#: index hit can land between two hits on a unit it leaves cached
+TIGHT_CACHE_FACTORIES = {
+    "ddfs": lambda r, b: DDFSEngine(
+        r, bloom_capacity=50_000, cache_containers=3, prefetch_ahead=1, batch=b
+    ),
+    "defrag": lambda r, b: DeFragEngine(
+        r,
+        policy=SPLThresholdPolicy(0.1),
+        bloom_capacity=50_000,
+        cache_containers=3,
+        prefetch_ahead=1,
+        batch=b,
+    ),
+    "idedup": lambda r, b: IDedupEngine(
+        r,
+        min_sequence=4,
+        bloom_capacity=50_000,
+        cache_containers=3,
+        prefetch_ahead=1,
+        batch=b,
+    ),
+}
+
+
+class TestTightCacheEquivalence:
+    @pytest.mark.parametrize("name", sorted(TIGHT_CACHE_FACTORIES))
+    @given(streams=st.lists(stream_strategy, min_size=3, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_random_streams_identical(self, name, streams):
+        prints = []
+        for batch in (True, False):
+            res = fresh_resources()
+            engine = TIGHT_CACHE_FACTORIES[name](res, batch)
+            gt = GroundTruth()
+            reports = [
+                run_backup(engine, BackupJob(g, "u", s), small_segmenter(), gt)
+                for g, s in enumerate(streams)
+            ]
+            prints.append(state_fingerprint(res, reports, engine))
+        assert prints[0] == prints[1]
 
 
 class TestEquivalenceUnderTracing:
