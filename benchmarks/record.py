@@ -6,11 +6,10 @@ Run from the repo root::
 
 Measures, in one sitting:
 
-* the in-process three-engine group ingest (fig4's body) through the
-  vectorized batch path and the scalar reference path,
-* the end-to-end ``python -m repro fig4 --scale small`` command both
-  ways (which adds the fixed interpreter + numpy start-up floor that no
-  ingest optimization can touch), and
+* the in-process three-engine group ingest (fig4's body),
+* the end-to-end ``python -m repro fig4 --scale small`` command (which
+  adds the fixed interpreter + numpy start-up floor that no ingest
+  optimization can touch), and
 * the fig6-small all-generation restore from the DDFS-Like layout
   through the default reader and the FAA + read-ahead reader (written
   to ``BENCH_restore.json``), and
@@ -223,12 +222,9 @@ def main() -> int:
     if not args.skip_end_to_end:
         cmd = [sys.executable, "-m", "repro", "fig4", "--scale", "small"]
         batch_s = time_command(cmd, args.repeats)
-        scalar_s = time_command(cmd + ["--scalar"], args.repeats)
         record["fig4_small_end_to_end"] = {
-            "command": "python -m repro fig4 --scale small [--scalar]",
+            "command": "python -m repro fig4 --scale small",
             "batch_seconds": round(batch_s, 4),
-            "scalar_seconds": round(scalar_s, 4),
-            "speedup": round(scalar_s / batch_s, 2),
             "note": (
                 "end-to-end includes the fixed interpreter + numpy import "
                 "floor (~0.2s) that ingest vectorization cannot remove; "

@@ -125,7 +125,7 @@ def register_engine(
 
         @register_engine("Mine", doc="my placement policy")
         def build_mine(resources, config):
-            return MyEngine(resources, batch=config.batch)
+            return MyEngine(resources)
 
     Re-registering a name replaces the factory (latest wins), so tests
     and downstream packages can shadow a built-in. The keyword flags

@@ -4,9 +4,7 @@ The simulator's *reported* numbers are simulated time and cannot change
 with Python-level optimizations; this module tracks the one thing that
 does change — how long the simulator itself takes to run. It measures
 
-* the fig4 three-engine group workload at the ``small`` scale through
-  both ingest paths (the vectorized batch default and the
-  chunk-at-a-time scalar reference), and
+* the fig4 three-engine group workload at the ``small`` scale, and
 * the fig6 all-generation restore from a pre-ingested DDFS-Like store
   (the most fragmented layout) through the default reader and the
   FAA + read-ahead reader, and
@@ -82,14 +80,11 @@ CHUNKING_SPEEDUP_FLOOR = 5.0
 
 
 def measure_ingest(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    batch: bool = True,
-    repeats: int = 3,
+    config: Optional[ExperimentConfig] = None, *, repeats: int = 3
 ) -> float:
     """Best-of-``repeats`` wall-clock seconds for the three-engine group
     ingest (the body of fig4), memo cleared per repetition."""
-    cfg = (config or ExperimentConfig.small()).with_(batch=batch)
+    cfg = config or ExperimentConfig.small()
     best = float("inf")
     for _ in range(max(1, repeats)):
         clear_memo()
@@ -170,7 +165,7 @@ def measure_parallel(
     from repro.experiments.fig4 import cells
     from repro.parallel import run_grid
 
-    cfg = (config or ExperimentConfig.small()).with_(batch=True)
+    cfg = config or ExperimentConfig.small()
     best = float("inf")
     for _ in range(max(1, repeats)):
         clear_memo()
@@ -182,18 +177,14 @@ def measure_parallel(
     return best
 
 
-def run_bench(
-    *, repeats: int = 3, scalar: bool = True, jobs: Optional[int] = None
-) -> Dict:
+def run_bench(*, repeats: int = 3, jobs: Optional[int] = None) -> Dict:
     """Measure the ingest path and return the result record.
 
     Args:
         repeats: repetitions per measurement (best-of wins).
-        scalar: also measure the scalar reference path (slower; the
-            ``--quick`` CLI mode skips it).
         jobs: when set (> 1), also measure the parallel grid path with
             that many workers and record the speedup over the serial
-            batch measurement.
+            measurement.
     """
     config = ExperimentConfig.small()
     result: Dict = {
@@ -201,13 +192,8 @@ def run_bench(
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": repeats,
-        "batch_seconds": round(measure_ingest(config, batch=True, repeats=repeats), 4),
+        "batch_seconds": round(measure_ingest(config, repeats=repeats), 4),
     }
-    if scalar:
-        result["scalar_seconds"] = round(
-            measure_ingest(config, batch=False, repeats=repeats), 4
-        )
-        result["speedup"] = round(result["scalar_seconds"] / result["batch_seconds"], 2)
     if jobs is not None and jobs > 1:
         result["parallel_jobs"] = jobs
         result["parallel_seconds"] = round(
@@ -745,10 +731,6 @@ def history_record(
         out.update(manifest)
     if ingest:
         out["ingest_batch_seconds"] = ingest.get("batch_seconds")
-        if "scalar_seconds" in ingest:
-            out["ingest_scalar_seconds"] = ingest["scalar_seconds"]
-        if "speedup" in ingest:
-            out["ingest_speedup"] = ingest["speedup"]
     if restore:
         out["restore_seconds"] = restore.get("restore_seconds")
         if "faa_seconds" in restore:

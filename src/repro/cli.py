@@ -155,13 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "priced positioning plus one sequential transfer",
     )
     parser.add_argument(
-        "--scalar",
-        action="store_true",
-        help="use the chunk-at-a-time reference ingest path instead of "
-        "the vectorized batch path (identical results, slower; for "
-        "benchmarking and cross-checking)",
-    )
-    parser.add_argument(
         "--extended-engines",
         action="store_true",
         help="also run the maintenance-phase engines (RevDedup, Hybrid) "
@@ -215,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--quick",
         action="store_true",
-        help="bench: one repetition, batch path only (skips the slow "
-        "scalar reference measurement)",
+        help="bench: one repetition per measurement; skips the FAA + "
+        "read-ahead restore measurement",
     )
     bench.add_argument(
         "--no-baseline",
@@ -438,11 +431,7 @@ def _run_bench(args: argparse.Namespace) -> int:
     if args.memory:
         return _run_memory_bench(args)
     repeats = 1 if args.quick else 3
-    result = run_bench(
-        repeats=repeats,
-        scalar=not args.quick,
-        jobs=args.jobs if args.jobs > 1 else None,
-    )
+    result = run_bench(repeats=repeats, jobs=args.jobs if args.jobs > 1 else None)
     print(json.dumps(result, indent=2))
     restore_result = run_restore_bench(repeats=repeats, faa=not args.quick)
     print(json.dumps(restore_result, indent=2))
@@ -618,8 +607,6 @@ def _make_config(args: argparse.Namespace) -> ExperimentConfig:
         config = config.with_(seed=args.seed)
     if args.alpha is not None:
         config = config.with_(alpha=args.alpha)
-    if args.scalar:
-        config = config.with_(batch=False)
     if args.byte_level:
         config = config.with_(byte_level=True)
     if args.extended_engines:

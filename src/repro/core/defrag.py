@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.api import register_engine
 from repro.core.policy import RewritePolicy, SPLThresholdPolicy
-from repro.core.spl import SPLProfile, spl_profile
+from repro.core.spl import SPLProfile
 from repro.dedup.base import CostModel, EngineResources, SegmentOutcome
 from repro.dedup.ddfs import DDFSEngine
 from repro.index.full_index import ChunkLocation
@@ -71,81 +71,8 @@ class DeFragEngine(DDFSEngine):
 
     # ------------------------------------------------------------------
 
-    def _identify(self, segment: Segment) -> List[Optional[ChunkLocation]]:
-        """Phase 1: the DDFS ladder for every chunk (charges disk)."""
-        return [self._resolve_duplicate(int(fp)) for fp in segment.fps]
-
-    def _profile(
-        self, segment: Segment, locations: List[Optional[ChunkLocation]]
-    ) -> SPLProfile:
-        """Phase 2a: SPL profile from the identification results."""
-        dup_sids: List[int] = []
-        dup_weights: List[int] = []
-        for loc, size in zip(locations, segment.sizes):
-            if loc is not None:
-                dup_sids.append(loc.sid)
-                dup_weights.append(int(size))
-        if self.byte_weighted_spl:
-            return spl_profile(
-                dup_sids,
-                segment.n_chunks,
-                dup_weights=dup_weights,
-                segment_nbytes=segment.nbytes,
-            )
-        return spl_profile(dup_sids, segment.n_chunks)
-
-    def _process_segment(self, segment: Segment) -> SegmentOutcome:
-        outcome = SegmentOutcome(
-            index=segment.index, n_chunks=segment.n_chunks, nbytes=segment.nbytes
-        )
-        assert self._recipe is not None
-        recipe = self._recipe
-
-        observing = self.obs.enabled
-        clock = self.res.disk.clock
-        t0 = clock.now
-        locations = self._identify(segment)
-        t1 = clock.now
-        profile = self._profile(segment, locations)
-        decision = self.policy.decide(profile)
-        self._referenced_segment_groups += profile.n_referenced_segments
-        self._rewritten_groups += decision.n_rewritten_segments
-        if decision.n_rewritten_segments:
-            self._segments_with_rewrites += 1
-        if observing:
-            self._record_decision(segment, profile, decision, locations)
-
-        sid = self._allocate_sid()
-        for fp, size, loc in zip(segment.fps, segment.sizes, locations):
-            fp = int(fp)
-            size = int(size)
-            if loc is None:
-                # identification ran before any of this segment's writes;
-                # an earlier occurrence within the segment may have landed
-                # in the stream buffer since
-                prior = self._stream_new.get(fp)
-                if prior is not None:
-                    outcome.removed_dup += size
-                    recipe.add(fp, size, prior.cid)
-                    continue
-                cid = self._write_new_chunk(fp, size, sid)
-                outcome.written_new += size
-                recipe.add(fp, size, cid)
-            elif decision.should_rewrite(loc.sid):
-                cid = self._rewrite_duplicate(fp, size, sid)
-                outcome.rewritten_dup += size
-                recipe.add(fp, size, cid)
-            else:
-                outcome.removed_dup += size
-                recipe.add(fp, size, loc.cid)
-        if observing:
-            self._record_phases(t0, t1, clock.now)
-        return outcome
-
-    # -- batch path -------------------------------------------------------
-
-    def _profile_batch(self, segment: Segment, locations) -> SPLProfile:
-        """Phase 2a, batched: the SPL profile's shares keyed in ascending
+    def _profile(self, segment: Segment, locations) -> SPLProfile:
+        """Phase 2a: the SPL profile's shares keyed in ascending
         sid order (identical shares to
         :func:`~repro.core.spl.spl_profile`). Chunk counts come from a
         ``Counter`` — a segment holds a few dozen chunks, too few to pay
@@ -168,13 +95,14 @@ class DeFragEngine(DDFSEngine):
         shares = dict(zip(uniq.tolist(), sums.tolist()))
         return SPLProfile(segment_total=segment.nbytes, shares=shares)
 
-    def _process_segment_batch(self, segment: Segment) -> SegmentOutcome:
+    def _process_segment(self, segment: Segment) -> SegmentOutcome:
         """Segment-at-a-time identify/decide/place. Identification and the
         SPL profile are batched; the place walk defers the summary-vector
         inserts to one ``add_positions`` (no chunk reads the bloom between
         a place-phase write and the end of the segment, so the deferral is
         invisible) that reuses the probe positions hashed for
-        identification. Equivalent to the scalar path bit-for-bit."""
+        identification. Equivalent bit-for-bit to the chunk-at-a-time
+        ladder in ``tests/oracle/segment_ladder.py``."""
         n = segment.n_chunks
         outcome = SegmentOutcome(index=segment.index, n_chunks=n, nbytes=segment.nbytes)
         assert self._recipe is not None
@@ -183,9 +111,9 @@ class DeFragEngine(DDFSEngine):
         clock = self.res.disk.clock
         t0 = clock.now
         positions = self.bloom.positions(segment.fps)
-        locations = self._identify_batch(segment, positions)
+        locations = self._identify(segment, positions)
         t1 = clock.now
-        profile = self._profile_batch(segment, locations)
+        profile = self._profile(segment, locations)
         decision = self.policy.decide(profile)
         self._referenced_segment_groups += profile.n_referenced_segments
         self._rewritten_groups += decision.n_rewritten_segments
@@ -204,7 +132,7 @@ class DeFragEngine(DDFSEngine):
         # Non-event chunks — duplicates kept in place — only record their
         # identify-time location and count as removed; the stateful walk
         # below visits just the events (writes and rewrites), which is
-        # the same visit order the scalar walk charges them in.
+        # the same visit order the chunk-at-a-time walk charges them in.
         cids = [0 if loc is None else loc.cid for loc in locations]
         if rewrite_sids:
             events = [
@@ -218,7 +146,7 @@ class DeFragEngine(DDFSEngine):
         # The appends have no read dependency on each other: a loc-None
         # event's fp was absent from stream/cache/index at identify time
         # (otherwise the ladder would have resolved it — the summary
-        # vector has no false negatives), so the scalar walk's
+        # vector has no false negatives), so the chunk-at-a-time walk's
         # stream-buffer hits come only from the *first* loc-None write of
         # the same fp earlier in this segment, and rewrite events never
         # read at all. The whole event walk therefore classifies first
@@ -290,9 +218,9 @@ class DeFragEngine(DDFSEngine):
 
         Profiling and the policy decision are pure RAM work in the model
         (zero simulated time), so the profile span carries counts only;
-        the clock deltas split cleanly into identify and place. Both
-        ingest paths snapshot the clock at the same phase boundaries, so
-        the spans — like every other metric — are path-independent.
+        the clock deltas split cleanly into identify and place. The
+        chunk-at-a-time ladder snapshots the clock at the same phase
+        boundaries, so the spans — like every other metric — match it.
         """
         p = self.name
         reg = self.obs.registry
@@ -358,17 +286,6 @@ class DeFragEngine(DDFSEngine):
         )
         return extras
 
-    def _rewrite_duplicate(self, fp: int, size: int, sid: int) -> int:
-        """Phase 3, rewrite path: store the duplicate again next to the
-        segment's new chunks and re-point the index at the fresh copy."""
-        cid = self.res.store.append(fp, size)
-        loc = ChunkLocation(cid, sid)
-        self.res.index.update(fp, loc)
-        self._stream_new[fp] = loc
-        self.total_rewritten_bytes += size
-        self.total_rewritten_chunks += 1
-        return cid
-
 
 @register_engine("DeFrag")
 def _build_defrag(resources, config) -> "DeFragEngine":
@@ -380,5 +297,4 @@ def _build_defrag(resources, config) -> "DeFragEngine":
         bloom_fp_rate=config.bloom_fp_rate,
         cache_containers=config.cache_containers,
         prefetch_ahead=config.prefetch_ahead,
-        batch=config.batch,
     )

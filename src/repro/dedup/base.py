@@ -265,31 +265,25 @@ class EngineResources:
 class DedupEngine(abc.ABC):
     """Common engine skeleton: backup lifecycle + shared meters.
 
-    Subclasses implement :meth:`_process_segment` (the scalar,
-    chunk-at-a-time reference ladder) and may additionally provide
-    :meth:`_process_segment_batch`, a segment-at-a-time implementation
-    that resolves the whole fingerprint vector with vectorized index
-    probes. The two paths are contractually equivalent: identical
-    outcomes, stats, and simulated clock (the batch path replays every
-    stateful side effect — LRU recency, page-cache order, disk charges —
-    in scalar order, and only batches the pure computation). ``batch``
-    selects the path; the scalar ladder stays available as the reference
-    implementation behind ``batch=False``.
+    Subclasses implement :meth:`_process_segment`, which resolves a
+    segment's whole fingerprint vector at a time. The selective engines'
+    chunk-at-a-time decision ladders live on as executable
+    specifications in ``tests/oracle/segment_ladder.py``; the oracle
+    suite (``python -m pytest tests/dedup/test_batch_equivalence.py``)
+    proves both produce identical outcomes, stats, and simulated clock —
+    every stateful side effect (LRU recency, page-cache order, disk
+    charges) happens in chunk order, and only the pure computation is
+    batched.
     """
-
-    #: overridden per engine with the segment-at-a-time implementation
-    _process_segment_batch = None
 
     def __init__(
         self,
         resources: EngineResources,
         cost: Optional[CostModel] = None,
-        batch: bool = True,
         obs: Optional[Observability] = None,
     ) -> None:
         self.res = resources
         self.cost = cost if cost is not None else CostModel()
-        self.batch = bool(batch)
         self.obs = obs if obs is not None else get_active()
         self._obs_scope: Optional[EngineScope] = None
         self._recipe: Optional[RecipeBuilder] = None
@@ -336,11 +330,7 @@ class DedupEngine(abc.ABC):
                 self._obs_scope = self.obs.scope_for(self)
             probe = self._obs_scope.begin()
         self.res.disk.clock.advance(cpu_s)
-        batch_impl = self._process_segment_batch
-        if self.batch and batch_impl is not None:
-            outcome = batch_impl(segment)
-        else:
-            outcome = self._process_segment(segment)
+        outcome = self._process_segment(segment)
         outcome.check_partition()
         if probe is not None:
             self._obs_scope.end(self._generation, segment, outcome, probe, cpu_s)

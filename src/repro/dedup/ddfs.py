@@ -64,10 +64,9 @@ class DDFSEngine(DedupEngine):
         bloom_fp_rate: float = 0.01,
         cache_containers: int = 256,
         prefetch_ahead: int = 4,
-        batch: bool = True,
         obs=None,
     ) -> None:
-        super().__init__(resources, cost, batch=batch, obs=obs)
+        super().__init__(resources, cost, obs=obs)
         check_positive("cache_containers", cache_containers)
         check_positive("prefetch_ahead", prefetch_ahead)
         self.prefetch_ahead = int(prefetch_ahead)
@@ -108,40 +107,6 @@ class DDFSEngine(DedupEngine):
         self._next_sid += 1
         return sid
 
-    def _write_new_chunk(self, fp: int, size: int, sid: int) -> int:
-        """Append a new unique chunk; returns its container id."""
-        cid = self.res.store.append(fp, size)
-        loc = ChunkLocation(cid, sid)
-        self.res.index.insert(fp, loc)
-        self._stream_new[fp] = loc
-        self.bloom.add(fp)
-        return cid
-
-    def _resolve_duplicate(self, fp: int) -> Optional[ChunkLocation]:
-        """The decision ladder for a possibly-duplicate chunk. Returns the
-        stored location, or None if the chunk is new. Charges all disk
-        costs (index fault, metadata prefetch) as they occur."""
-        # rung 1: prefetch cache
-        cached_cid = self.cache.lookup(fp)
-        if cached_cid is not None:
-            loc = self.res.index.peek(fp)
-            # container metadata also records the segment id; peek is the
-            # bookkeeping equivalent and charges nothing
-            return loc if loc is not None else ChunkLocation(cached_cid, -1)
-        # rung 2: current-stream buffer
-        loc = self._stream_new.get(fp)
-        if loc is not None:
-            return loc
-        # rung 3: summary vector
-        if fp not in self.bloom:
-            return None
-        # rung 4: on-disk index (+ locality prefetch on a hit)
-        loc = self.res.index.lookup(fp)
-        if loc is None:
-            return None  # bloom false positive
-        self._prefetch_containers(loc.cid)
-        return loc
-
     def _prefetch_containers(self, cid: int) -> None:
         """Locality prefetch with sequential read-ahead: one positioning,
         then the metadata sections of ``cid`` and its physical successors
@@ -164,30 +129,8 @@ class DDFSEngine(DedupEngine):
         self.cache.insert_units(units)
 
     def _process_segment(self, segment: Segment) -> SegmentOutcome:
-        outcome = SegmentOutcome(
-            index=segment.index, n_chunks=segment.n_chunks, nbytes=segment.nbytes
-        )
-        assert self._recipe is not None
-        sid = self._allocate_sid()
-        recipe = self._recipe
-        for fp, size in zip(segment.fps, segment.sizes):
-            fp = int(fp)
-            size = int(size)
-            loc = self._resolve_duplicate(fp)
-            if loc is None:
-                cid = self._write_new_chunk(fp, size, sid)
-                outcome.written_new += size
-                recipe.add(fp, size, cid)
-            else:
-                outcome.removed_dup += size
-                recipe.add(fp, size, loc.cid)
-        return outcome
-
-    # -- batch path -------------------------------------------------------
-
-    def _process_segment_batch(self, segment: Segment) -> SegmentOutcome:
-        """Segment-at-a-time ingest: the decision ladder of
-        :meth:`_process_segment`, with the per-chunk vector work batched.
+        """Segment-at-a-time ingest: the module docstring's decision
+        ladder, with the per-chunk vector work batched.
 
         Bloom probe positions are hashed once for the whole segment
         (:meth:`BloomFilter.begin_batch`) and prefetch-cache membership is
@@ -197,8 +140,9 @@ class DDFSEngine(DedupEngine):
         (and may evict) cached units — at which point membership is
         re-resolved for the remaining suffix. All stateful side effects
         (writes, index faults, prefetch charges, recency refreshes)
-        happen at the same chunk position as in the scalar ladder, so
-        reports and the simulated clock are byte-identical.
+        happen at the same chunk position as in the chunk-at-a-time
+        ladder (``tests/oracle/segment_ladder.py``), so reports and the
+        simulated clock are byte-identical to it.
         """
         n = segment.n_chunks
         outcome = SegmentOutcome(index=segment.index, n_chunks=n, nbytes=segment.nbytes)
@@ -291,7 +235,7 @@ class DDFSEngine(DedupEngine):
                     # written in one batch (identical packing, seal
                     # charges, index/stream/bloom state) if try_stage can
                     # prove no same-batch probe collision flips a later
-                    # chunk's bloom answer; scalar fallback otherwise
+                    # chunk's bloom answer; per-chunk fallback otherwise
                     t = int(np.searchsorted(run_stops, r))
                     j = base + (int(run_stops[t]) if t < run_stops.size else n - base)
                     if j - i >= 8 and bloom_batch.try_stage(i, j):
@@ -341,17 +285,17 @@ class DDFSEngine(DedupEngine):
         self._recipe.add_many(fps, sizes, cids)
         return outcome
 
-    def _identify_batch(
+    def _identify(
         self, segment: Segment, positions: Optional[np.ndarray] = None
     ) -> List[Optional[ChunkLocation]]:
-        """Batched pure identification: ``[_resolve_duplicate(fp) for
-        fp in segment.fps]`` with the vector work batched. No chunk is
+        """Pure identification: the decision ladder's stored location
+        (or None) for every chunk, with the vector work batched. No chunk is
         written during identification, so the summary vector is static
         and one membership probe answers rung 3 for the whole segment
         (from ``positions``, the segment's :meth:`BloomFilter.positions`,
         when the caller already hashed it); cache membership is
         re-resolved per locality-prefetch event exactly as in
-        :meth:`_process_segment_batch`. Used by the selective engines
+        :meth:`_process_segment`. Used by the selective engines
         (DeFrag, iDedup) whose phase 1 runs before any placement.
 
         A segment is a few dozen chunks, so the walk itself is plain
@@ -420,5 +364,4 @@ def _build_ddfs(resources, config) -> "DDFSEngine":
         bloom_fp_rate=config.bloom_fp_rate,
         cache_containers=config.cache_containers,
         prefetch_ahead=config.prefetch_ahead,
-        batch=config.batch,
     )

@@ -25,10 +25,9 @@ class ExactEngine(DedupEngine):
         self,
         resources: EngineResources,
         cost: Optional[CostModel] = None,
-        batch: bool = True,
         obs=None,
     ) -> None:
-        super().__init__(resources, cost, batch=batch, obs=obs)
+        super().__init__(resources, cost, obs=obs)
         # current-stream buffer (pre-merge), as in DDFSEngine
         self._stream_new: Dict[int, ChunkLocation] = {}
         self._next_sid = 0
@@ -37,44 +36,17 @@ class ExactEngine(DedupEngine):
         self._stream_new = {}
 
     def _process_segment(self, segment: Segment) -> SegmentOutcome:
-        outcome = SegmentOutcome(
-            index=segment.index, n_chunks=segment.n_chunks, nbytes=segment.nbytes
-        )
-        assert self._recipe is not None
-        recipe = self._recipe
-        sid = self._next_sid
-        self._next_sid += 1
-        for fp, size in zip(segment.fps, segment.sizes):
-            fp = int(fp)
-            size = int(size)
-            loc = self._stream_new.get(fp)
-            if loc is None:
-                loc = self.res.index.lookup(fp)
-            if loc is None:
-                cid = self.res.store.append(fp, size)
-                new_loc = ChunkLocation(cid, sid)
-                self.res.index.insert(fp, new_loc)
-                self._stream_new[fp] = new_loc
-                outcome.written_new += size
-                recipe.add(fp, size, cid)
-            else:
-                outcome.removed_dup += size
-                recipe.add(fp, size, loc.cid)
-        return outcome
-
-    # -- batch path -------------------------------------------------------
-
-    def _process_segment_batch(self, segment: Segment) -> SegmentOutcome:
         """Segment-at-a-time ingest. Chunks are routed by RAM-model index
         membership (new vs stored); every routed chunk still pays its
         authoritative :meth:`lookup` — the lookups of a run of duplicates
         are merely deferred into one :meth:`lookup_many` call, flushed
         just before the next new chunk's append so every disk charge and
-        page-cache touch lands in the exact scalar position. The index
+        page-cache touch lands in the exact chunk-order position. The index
         only ever gains entries mid-segment (for fingerprints that are
         simultaneously entered into the stream buffer, which is checked
         first), so routing at walk time agrees with the deferred lookup's
-        result. Byte-identical to the scalar path."""
+        result. Byte-identical to the chunk-at-a-time ladder in
+        ``tests/oracle/segment_ladder.py``."""
         n = segment.n_chunks
         outcome = SegmentOutcome(index=segment.index, n_chunks=n, nbytes=segment.nbytes)
         assert self._recipe is not None
@@ -107,7 +79,7 @@ class ExactEngine(DedupEngine):
                 continue
             # new chunk: resolve the deferred lookups — the new chunk's
             # own negative lookup included — before its append, matching
-            # the scalar charge order
+            # the chunk-order charge sequence
             for j, jloc in zip(pending, lookup_many([fps[j] for j in pending])):
                 if jloc is not None:
                     cids[j] = jloc.cid
@@ -132,4 +104,4 @@ class ExactEngine(DedupEngine):
 @register_engine("Exact")
 def _build_exact(resources, config) -> "ExactEngine":
     """repro.api factory: the naive full-index baseline."""
-    return ExactEngine(resources, batch=config.batch)
+    return ExactEngine(resources)

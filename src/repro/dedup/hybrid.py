@@ -44,12 +44,11 @@ class HybridEngine(DedupEngine):
         self,
         resources: EngineResources,
         cost: Optional[CostModel] = None,
-        batch: bool = True,
         obs=None,
         cache_chunks: int = 16384,
         maintenance_min_utilization: float = 0.5,
     ) -> None:
-        super().__init__(resources, cost, batch=batch, obs=obs)
+        super().__init__(resources, cost, obs=obs)
         if cache_chunks <= 0:
             raise ValueError("cache_chunks must be positive")
         self.cache_chunks = int(cache_chunks)

@@ -60,68 +60,7 @@ class IDedupEngine(DDFSEngine):
     def _dup_runs(self, locations: List[Optional[ChunkLocation]]) -> List[bool]:
         """For each chunk, True if it belongs to a *deduplicable* run:
         a maximal run of consecutive duplicates resolved to one container
-        with length >= min_sequence."""
-        n = len(locations)
-        keep = [False] * n
-        i = 0
-        while i < n:
-            loc = locations[i]
-            if loc is None:
-                i += 1
-                continue
-            j = i + 1
-            while j < n and locations[j] is not None and locations[j].cid == loc.cid:
-                j += 1
-            if j - i >= self.min_sequence:
-                for k in range(i, j):
-                    keep[k] = True
-            i = j
-        return keep
-
-    def _process_segment(self, segment: Segment) -> SegmentOutcome:
-        outcome = SegmentOutcome(
-            index=segment.index, n_chunks=segment.n_chunks, nbytes=segment.nbytes
-        )
-        assert self._recipe is not None
-        recipe = self._recipe
-
-        locations = [self._resolve_duplicate(int(fp)) for fp in segment.fps]
-        keep = self._dup_runs(locations)
-
-        sid = self._allocate_sid()
-        for fp, size, loc, keep_dup in zip(
-            segment.fps, segment.sizes, locations, keep
-        ):
-            fp = int(fp)
-            size = int(size)
-            if loc is None:
-                prior = self._stream_new.get(fp)
-                if prior is not None:
-                    outcome.removed_dup += size
-                    recipe.add(fp, size, prior.cid)
-                    continue
-                cid = self._write_new_chunk(fp, size, sid)
-                outcome.written_new += size
-                recipe.add(fp, size, cid)
-            elif keep_dup:
-                outcome.removed_dup += size
-                recipe.add(fp, size, loc.cid)
-            else:
-                # short-sequence duplicate: write it again
-                cid = self.res.store.append(fp, size)
-                new_loc = ChunkLocation(cid, sid)
-                self.res.index.update(fp, new_loc)
-                self._stream_new[fp] = new_loc
-                self.total_rewritten_bytes += size
-                self.total_rewritten_chunks += 1
-                outcome.rewritten_dup += size
-                recipe.add(fp, size, cid)
-        return outcome
-
-    # -- batch path -------------------------------------------------------
-
-    def _dup_runs_batch(self, locations: List[Optional[ChunkLocation]]) -> List[bool]:
-        """Vectorized :meth:`_dup_runs`: runs are found by diffing the
+        with length >= min_sequence. Runs are found by diffing the
         per-chunk container-id vector (new chunks marked with -1, which no
         stored chunk uses), then length-filtered in one expression."""
         n = len(locations)
@@ -138,18 +77,19 @@ class IDedupEngine(DDFSEngine):
         run_keep = (cid_arr[starts] >= 0) & (lengths >= self.min_sequence)
         return np.repeat(run_keep, lengths).tolist()
 
-    def _process_segment_batch(self, segment: Segment) -> SegmentOutcome:
+    def _process_segment(self, segment: Segment) -> SegmentOutcome:
         """Segment-at-a-time identify/filter/place: vectorized
         identification (shared DDFS ladder), vectorized run detection,
-        then the scalar place walk with the summary-vector inserts
+        then a per-chunk place walk with the summary-vector inserts
         deferred to one ``add_many`` (nothing reads the bloom during
-        placement). Byte-identical to the scalar path."""
+        placement). Byte-identical to the chunk-at-a-time ladder in
+        ``tests/oracle/segment_ladder.py``."""
         n = segment.n_chunks
         outcome = SegmentOutcome(index=segment.index, n_chunks=n, nbytes=segment.nbytes)
         assert self._recipe is not None
 
-        locations = self._identify_batch(segment)
-        keep = self._dup_runs_batch(locations)
+        locations = self._identify(segment)
+        keep = self._dup_runs(locations)
 
         sid = self._allocate_sid()
         fps = segment.fps.tolist()
@@ -214,5 +154,4 @@ def _build_idedup(resources, config) -> "IDedupEngine":
         bloom_fp_rate=config.bloom_fp_rate,
         cache_containers=config.cache_containers,
         prefetch_ahead=config.prefetch_ahead,
-        batch=config.batch,
     )

@@ -44,11 +44,10 @@ class RevDedupEngine(DedupEngine):
         self,
         resources: EngineResources,
         cost: Optional[CostModel] = None,
-        batch: bool = True,
         obs=None,
         maintenance_min_utilization: float = 0.5,
     ) -> None:
-        super().__init__(resources, cost, batch=batch, obs=obs)
+        super().__init__(resources, cost, obs=obs)
         self.maintenance_min_utilization = float(maintenance_min_utilization)
         #: segment content keys ((fps...), (sizes...)) seen in the
         #: previous / current generation — the coarse dedup universe

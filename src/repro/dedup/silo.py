@@ -60,10 +60,9 @@ class SiLoEngine(DedupEngine):
         block_bytes: int = 8 * MIB,
         cache_blocks: int = 64,
         similarity_capacity: Optional[int] = None,
-        batch: bool = True,
         obs=None,
     ) -> None:
-        super().__init__(resources, cost, batch=batch, obs=obs)
+        super().__init__(resources, cost, obs=obs)
         check_positive("cache_blocks", cache_blocks)
         self.similarity = SimilarityIndex(capacity=similarity_capacity)
         self.cache = FingerprintPrefetchCache(cache_blocks)
@@ -122,53 +121,13 @@ class SiLoEngine(DedupEngine):
         self.cache.insert_unit(bid, block.fingerprints)
 
     def _process_segment(self, segment: Segment) -> SegmentOutcome:
-        outcome = SegmentOutcome(
-            index=segment.index, n_chunks=segment.n_chunks, nbytes=segment.nbytes
-        )
-        assert self._recipe is not None
-        recipe = self._recipe
-
-        if segment.n_chunks:
-            rep = representative_fingerprint(segment.fps)
-            bid = self.similarity.lookup(rep)
-            if bid is not None:
-                self._fetch_block(bid)
-
-        for fp, size in zip(segment.fps, segment.sizes):
-            fp = int(fp)
-            size = int(size)
-            loc: Optional[ChunkLocation] = None
-            if self.cache.lookup(fp) is not None:
-                loc = self._locations.get(fp)
-            if loc is None:
-                loc = self._stream_new.get(fp)
-            if loc is None:
-                # new (or undetected duplicate): store it
-                cid = self.res.store.append(fp, size)
-                loc = ChunkLocation(cid, -1)
-                self._locations[fp] = loc
-                self._stream_new[fp] = loc
-                outcome.written_new += size
-                recipe.add(fp, size, cid)
-            else:
-                outcome.removed_dup += size
-                recipe.add(fp, size, loc.cid)
-
-        # every logical chunk of the segment is indexed in its block
-        self._builder.add_segment(segment, segment.fps, segment.nbytes)
-        if self._builder.should_seal():
-            self._seal_block()
-        return outcome
-
-    # -- batch path -------------------------------------------------------
-
-    def _process_segment_batch(self, segment: Segment) -> SegmentOutcome:
         """Segment-at-a-time ingest. After the similarity probe and the
         (at most one) block fetch, the prefetch cache is static for the
         rest of the segment — writes never touch it — so one
         :meth:`lookup_many` resolves cache membership for the whole
         fingerprint vector up front; locations then come from the RAM
-        maps, live per chunk. Byte-identical to the scalar path."""
+        maps, live per chunk. Byte-identical to the chunk-at-a-time ladder
+        in ``tests/oracle/segment_ladder.py``."""
         n = segment.n_chunks
         outcome = SegmentOutcome(index=segment.index, n_chunks=n, nbytes=segment.nbytes)
         assert self._recipe is not None
@@ -223,7 +182,7 @@ class SiLoEngine(DedupEngine):
                     continue
                 # a cached fingerprint with no stored copy cannot happen
                 # for real blocks (every block fp was stored), but the
-                # scalar ladder tolerates it — resolve this chunk alone
+                # chunk-at-a-time ladder tolerates it — resolve this chunk alone
                 touch(uid)
                 hits += 1
                 loc = found[0]
@@ -263,5 +222,4 @@ def _build_silo(resources, config) -> "SiLoEngine":
         block_bytes=config.silo_block_bytes,
         cache_blocks=config.silo_cache_blocks,
         similarity_capacity=config.silo_similarity_capacity,
-        batch=config.batch,
     )

@@ -52,10 +52,9 @@ class SparseIndexEngine(DedupEngine):
         max_champions: int = 2,
         hook_history: int = 3,
         cache_manifests: int = 16,
-        batch: bool = True,
         obs=None,
     ) -> None:
-        super().__init__(resources, cost, batch=batch, obs=obs)
+        super().__init__(resources, cost, obs=obs)
         check_positive("sample_rate", sample_rate)
         check_positive("max_champions", max_champions)
         check_positive("hook_history", hook_history)
@@ -151,6 +150,4 @@ class SparseIndexEngine(DedupEngine):
 @register_engine("SparseIndex")
 def _build_sparse(resources, config) -> "SparseIndexEngine":
     """repro.api factory: sparse indexing sized from the SiLo knobs."""
-    return SparseIndexEngine(
-        resources, cache_manifests=config.silo_cache_blocks * 4, batch=config.batch
-    )
+    return SparseIndexEngine(resources, cache_manifests=config.silo_cache_blocks * 4)

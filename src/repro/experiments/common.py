@@ -141,7 +141,7 @@ def _config_key(config: ExperimentConfig) -> Tuple:
         c.disk.name, c.container_bytes, c.cache_containers, c.prefetch_ahead,
         c.silo_block_bytes, c.silo_cache_blocks, c.silo_similarity_capacity,
         c.index_page_cache_pages,
-        c.bloom_capacity, c.bloom_fp_rate, c.churn_full, c.batch, c.store,
+        c.bloom_capacity, c.bloom_fp_rate, c.churn_full, c.store,
         c.byte_level, c.hybrid_cache_chunks, c.maintenance_min_utilization,
         c.shard, c.tenant_cache_chunks,
     )

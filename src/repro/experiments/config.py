@@ -107,11 +107,6 @@ class ExperimentConfig:
         )
     )
     incremental_file_bytes: int = 2 * MIB
-    #: engines resolve each segment's fingerprint vector as one batch
-    #: (the vectorized ingest path); False replays the scalar
-    #: chunk-at-a-time reference ladder — results are byte-identical,
-    #: only wall-clock differs (the bench harness A/Bs this switch)
-    batch: bool = True
     #: feed the group workload through the byte-level ingest path:
     #: per-generation buffers are materialized from the churn model,
     #: CDC-chunked by the whole-buffer Gear chunker, and batch

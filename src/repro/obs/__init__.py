@@ -14,7 +14,8 @@ The layer has three pieces (see DESIGN.md for the full model):
 Everything hangs off an :class:`Observability` session. The default is
 :data:`NULL_OBS` (``enabled=False``): a disabled engine performs exactly
 one attribute check per segment and records nothing, so benchmark
-numbers and the batch/scalar twin-run contract are untouched. Enable a
+numbers and the product-vs-ladder oracle contract (``python -m pytest
+tests/dedup/test_batch_equivalence.py``) are untouched. Enable a
 session either explicitly (``engine = DeFragEngine(res, obs=obs)``) or
 ambiently for a block of code::
 

@@ -6,7 +6,8 @@ name (engines prefix their own: ``DeFrag.phase.identify``). Nothing here
 ever reads the wall clock — span durations and time-series sample times
 come from the *simulated* clock handed in by the caller — so recording
 metrics can never perturb the reproduction's reported numbers, and the
-batch/scalar twin-run byte-equivalence contract extends to the metrics
+product-vs-ladder byte-equivalence contract (``python -m pytest
+tests/dedup/test_batch_equivalence.py``) extends to the metrics
 themselves.
 
 Histograms use **fixed bucket edges** chosen at creation: bucket ``i``

@@ -19,9 +19,10 @@ closed form:
   plus the store's configured seal seeks).
 
 The four phases partition each segment's disk+CPU simulated time, and
-they are derived from the *shared stats counters* — which the twin-run
-suite asserts byte-identical between the batch and scalar ingest paths —
-so recording them can never diverge between the two paths either.
+they are derived from the *shared stats counters* — which the oracle
+suite (``python -m pytest tests/dedup/test_batch_equivalence.py``)
+asserts byte-identical between the product engines and their
+chunk-at-a-time ladders — so recording them can never diverge either.
 
 Probing happens once per segment (never per chunk) and only when
 observability is enabled, preserving the zero-overhead-when-disabled

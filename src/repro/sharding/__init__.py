@@ -7,9 +7,7 @@ consistent-hash–routed ensemble of :class:`~repro.index.full_index
 tenant-aware container placement (:class:`TenantNamespace` /
 :class:`TenantStoreSet`), a round-robin multi-tenant ingest front-end
 that folds every stream's cache misses into batched per-shard calls
-(:class:`IngestFrontend`), and a process-pool deployment with
-per-shard spill directories and journal recovery
-(:class:`ShardWorkerPool`).
+(:class:`IngestFrontend`).
 
 See DESIGN.md §18 for the routing invariants and the recovery story;
 the HPDedup-style cache-allocation experiment built on this package
@@ -25,7 +23,6 @@ from repro.sharding.frontend import (
     TenantStream,
 )
 from repro.sharding.index import ShardedChunkIndex
-from repro.sharding.pool import ShardWorkerPool
 from repro.sharding.router import ShardRouter
 from repro.sharding.tenancy import TenantNamespace, TenantStoreSet
 
@@ -40,5 +37,4 @@ __all__ = [
     "TenantReport",
     "GlobalLRUAllocator",
     "PrioritizedAllocator",
-    "ShardWorkerPool",
 ]

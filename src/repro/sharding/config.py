@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -20,16 +19,10 @@ class ShardConfig:
             More vnodes flatten the key-space imbalance between shards;
             the default keeps the max/mean shard fill under ~1.15 at 8
             shards.
-        spill_root: root directory for per-shard durable state (each
-            shard worker owns ``spill_root/shard-<k>``); ``None`` keeps
-            shard journals in memory. Only the process-pool deployment
-            (:class:`~repro.sharding.pool.ShardWorkerPool`) touches the
-            filesystem — the in-process index never does.
     """
 
     n_shards: int = 1
     vnodes: int = 128
-    spill_root: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:

@@ -1,14 +1,25 @@
-"""Batch-vs-scalar ingest equivalence.
+"""Product ingest against the chunk-at-a-time segment-ladder oracle.
 
-The vectorized batch ingest path (``batch=True``, the default) must be
-*byte-identical* to the chunk-at-a-time reference ladder — not just the
-same dedup outcomes, but the same simulated clock (float addition order
-included), the same stats down to every counter, and the same recipes.
-These tests run the same workload through twin engines that differ only
-in the ``batch`` flag and compare everything an engine can report.
+Each engine's segment-at-a-time ``_process_segment`` must be
+*byte-identical* to its chunk-at-a-time decision ladder, kept in
+``tests/oracle/segment_ladder.py`` — not just the same dedup outcomes,
+but the same simulated clock (float addition order included), the same
+stats down to every counter, the same recipes, and the same traced
+metrics and events. These tests run each workload twice, once through
+the product and once inside :func:`ladder_engines`, and compare
+everything an engine can report; ``fig2`` and ``fig4`` (small scale)
+are replayed through the ladders as whole figures.
+
+Every ladder run asserts that the oracle's call counter advanced by the
+number of segments ingested, so the suite fails if the ladder is not
+installed. SparseIndex, RevDedup and Hybrid have one ingest path only
+and are not compared here.
 """
 
+import contextlib
 import dataclasses
+import difflib
+import pathlib
 
 import numpy as np
 import pytest
@@ -23,11 +34,17 @@ from repro.dedup.exact import ExactEngine
 from repro.dedup.idedup import IDedupEngine
 from repro.dedup.pipeline import GroundTruth, run_backup
 from repro.dedup.silo import SiLoEngine
-from repro.dedup.sparse import SparseIndexEngine
+from repro.experiments.common import clear_memo
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.suite import run_suite
 from repro.segmenting.segmenter import ContentDefinedSegmenter
 from repro.workloads.generators import BackupJob, single_user_incrementals
 
 from tests.conftest import TEST_PROFILE
+from tests.oracle import segment_ladder
+from tests.oracle.segment_ladder import ladder_engines
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "experiments" / "golden"
 
 
 def small_segmenter():
@@ -48,43 +65,58 @@ def fresh_resources():
 
 
 ENGINE_FACTORIES = {
-    "exact": lambda r, b: ExactEngine(r, batch=b),
-    "ddfs": lambda r, b: DDFSEngine(r, bloom_capacity=50_000, cache_containers=4, batch=b),
-    "silo": lambda r, b: SiLoEngine(
-        r, block_bytes=64 * 1024, cache_blocks=4, similarity_capacity=32, batch=b
+    "exact": lambda r: ExactEngine(r),
+    "ddfs": lambda r: DDFSEngine(r, bloom_capacity=50_000, cache_containers=4),
+    "silo": lambda r: SiLoEngine(
+        r, block_bytes=64 * 1024, cache_blocks=4, similarity_capacity=32
     ),
-    "defrag": lambda r, b: DeFragEngine(
-        r,
-        policy=SPLThresholdPolicy(0.1),
-        bloom_capacity=50_000,
-        cache_containers=4,
-        batch=b,
+    "defrag": lambda r: DeFragEngine(
+        r, policy=SPLThresholdPolicy(0.1), bloom_capacity=50_000, cache_containers=4
     ),
-    "idedup": lambda r, b: IDedupEngine(
-        r, min_sequence=4, bloom_capacity=50_000, cache_containers=4, batch=b
+    "idedup": lambda r: IDedupEngine(
+        r, min_sequence=4, bloom_capacity=50_000, cache_containers=4
     ),
-    "sparse": lambda r, b: SparseIndexEngine(r, cache_manifests=4, batch=b),
 }
 
 
-def run_twin(name, streams):
-    """Run the same stream sequence through batch and scalar twins and
-    return both full-state fingerprints."""
-    prints = []
-    for batch in (True, False):
-        res = fresh_resources()
-        engine = ENGINE_FACTORIES[name](res, batch)
-        gt = GroundTruth()
-        reports = [
-            run_backup(engine, BackupJob(g, "u", s), small_segmenter(), gt)
-            for g, s in enumerate(streams)
-        ]
-        prints.append(state_fingerprint(res, reports, engine))
-    return prints
+@contextlib.contextmanager
+def ladder_run():
+    """Run the block through the ladders. Yields a list the block extends
+    with the reports it produced; on exit the ladders' call count must
+    have advanced by exactly their segment total."""
+    reports = []
+    before = segment_ladder.calls
+    with ladder_engines():
+        yield reports
+    n_segments = sum(len(r.segments) for r in reports)
+    assert segment_ladder.calls - before == n_segments
+
+
+def run_engine(factory, streams):
+    """One engine over the stream sequence; its full-state fingerprint
+    and its reports."""
+    res = fresh_resources()
+    engine = factory(res)
+    gt = GroundTruth()
+    reports = [
+        run_backup(engine, BackupJob(g, "u", s), small_segmenter(), gt)
+        for g, s in enumerate(streams)
+    ]
+    return state_fingerprint(res, reports, engine), reports
+
+
+def run_twin(factory, streams):
+    """Run the same stream sequence through the product and the ladder
+    and return both full-state fingerprints."""
+    product_print, _ = run_engine(factory, streams)
+    with ladder_run() as ladder_reports:
+        ladder_print, reports = run_engine(factory, streams)
+        ladder_reports.extend(reports)
+    return product_print, ladder_print
 
 
 def engine_counters(engine):
-    """Every engine-level stats counter the two ingest paths must agree
+    """Every engine-level stats counter product and ladder must agree
     on: prefetch-cache hit/miss/eviction accounting and LRU order, bloom
     insert count and bits,
     similarity-index stats, rewrite totals, manifest loads."""
@@ -155,42 +187,36 @@ class TestBatchScalarEquivalence:
     @given(streams=stream_pairs())
     @settings(max_examples=15, deadline=None)
     def test_random_streams_identical(self, name, streams):
-        batch_print, scalar_print = run_twin(name, streams)
-        assert batch_print == scalar_print
+        product_print, ladder_print = run_twin(ENGINE_FACTORIES[name], streams)
+        assert product_print == ladder_print
 
     @pytest.mark.parametrize("name", sorted(ENGINE_FACTORIES))
     def test_generational_workload_identical(self, name):
         """A multi-generation churned workload (drives prefetching, cache
         evictions, bloom growth, rewrites — every mid-segment event the
-        batch path must replay at exact chunk positions)."""
+        product must replay at exact chunk positions)."""
         jobs = single_user_incrementals(4, 256 * 1024, seed=7)
         streams = [j.stream for j in jobs]
-        batch_print, scalar_print = run_twin(name, streams)
-        assert batch_print == scalar_print
+        product_print, ladder_print = run_twin(ENGINE_FACTORIES[name], streams)
+        assert product_print == ladder_print
 
 
 #: ladder engines with a prefetch cache small enough that every recency
 #: refresh decides a later eviction, and one-section prefetches, so an
 #: index hit can land between two hits on a unit it leaves cached
 TIGHT_CACHE_FACTORIES = {
-    "ddfs": lambda r, b: DDFSEngine(
-        r, bloom_capacity=50_000, cache_containers=3, prefetch_ahead=1, batch=b
+    "ddfs": lambda r: DDFSEngine(
+        r, bloom_capacity=50_000, cache_containers=3, prefetch_ahead=1
     ),
-    "defrag": lambda r, b: DeFragEngine(
+    "defrag": lambda r: DeFragEngine(
         r,
         policy=SPLThresholdPolicy(0.1),
         bloom_capacity=50_000,
         cache_containers=3,
         prefetch_ahead=1,
-        batch=b,
     ),
-    "idedup": lambda r, b: IDedupEngine(
-        r,
-        min_sequence=4,
-        bloom_capacity=50_000,
-        cache_containers=3,
-        prefetch_ahead=1,
-        batch=b,
+    "idedup": lambda r: IDedupEngine(
+        r, min_sequence=4, bloom_capacity=50_000, cache_containers=3, prefetch_ahead=1
     ),
 }
 
@@ -200,49 +226,35 @@ class TestTightCacheEquivalence:
     @given(streams=st.lists(stream_strategy, min_size=3, max_size=3))
     @settings(max_examples=150, deadline=None)
     def test_random_streams_identical(self, name, streams):
-        prints = []
-        for batch in (True, False):
-            res = fresh_resources()
-            engine = TIGHT_CACHE_FACTORIES[name](res, batch)
-            gt = GroundTruth()
-            reports = [
-                run_backup(engine, BackupJob(g, "u", s), small_segmenter(), gt)
-                for g, s in enumerate(streams)
-            ]
-            prints.append(state_fingerprint(res, reports, engine))
-        assert prints[0] == prints[1]
+        product_print, ladder_print = run_twin(TIGHT_CACHE_FACTORIES[name], streams)
+        assert product_print == ladder_print
 
 
 class TestEquivalenceUnderTracing:
     """Observability must not perturb the twin-run contract: with a
-    session on (metrics + event tracing), batch and scalar twins still
+    session on (metrics + event tracing), product and ladder still
     agree on every report, counter, and clock — and on the recorded
     metric snapshots and event streams themselves."""
 
-    def _run_traced(self, name, streams, batch):
+    def _run_traced(self, name, streams):
         from repro.obs import ListEventSink, Observability, obs_session
 
-        res = fresh_resources()
         sink = ListEventSink()
         with obs_session(Observability(events=sink)) as obs:
-            engine = ENGINE_FACTORIES[name](res, batch)
-            gt = GroundTruth()
-            reports = [
-                run_backup(engine, BackupJob(g, "u", s), small_segmenter(), gt)
-                for g, s in enumerate(streams)
-            ]
-        fingerprint = state_fingerprint(res, reports, engine)
-        return fingerprint, obs.registry.snapshot(), sink.events
+            fingerprint, reports = run_engine(ENGINE_FACTORIES[name], streams)
+        return fingerprint, obs.registry.snapshot(), sink.events, reports
 
     @pytest.mark.parametrize("name", sorted(ENGINE_FACTORIES))
     def test_traced_twins_identical(self, name):
         jobs = single_user_incrementals(3, 128 * 1024, seed=11)
         streams = [j.stream for j in jobs]
-        batch_run = self._run_traced(name, streams, True)
-        scalar_run = self._run_traced(name, streams, False)
-        assert batch_run[0] == scalar_run[0]  # reports, clocks, counters
-        assert batch_run[1] == scalar_run[1]  # metric snapshots
-        assert batch_run[2] == scalar_run[2]  # event streams
+        product = self._run_traced(name, streams)
+        with ladder_run() as ladder_reports:
+            ladder = self._run_traced(name, streams)
+            ladder_reports.extend(ladder[3])
+        assert product[0] == ladder[0]  # reports, clocks, counters
+        assert product[1] == ladder[1]  # metric snapshots
+        assert product[2] == ladder[2]  # event streams
 
     @pytest.mark.parametrize("name", sorted(ENGINE_FACTORIES))
     def test_tracing_changes_nothing_observable(self, name):
@@ -250,16 +262,69 @@ class TestEquivalenceUnderTracing:
         fingerprint: observability is read-only on the simulation."""
         jobs = single_user_incrementals(3, 128 * 1024, seed=11)
         streams = [j.stream for j in jobs]
-        traced_fp, _, _ = self._run_traced(name, streams, True)
+        traced_fp, _, _, _ = self._run_traced(name, streams)
+        untraced_fp, _ = run_engine(ENGINE_FACTORIES[name], streams)
+        assert untraced_fp == traced_fp
 
-        res = fresh_resources()
-        engine = ENGINE_FACTORIES[name](res, True)
-        gt = GroundTruth()
-        reports = [
-            run_backup(engine, BackupJob(g, "u", s), small_segmenter(), gt)
-            for g, s in enumerate(streams)
-        ]
-        assert state_fingerprint(res, reports, engine) == traced_fp
+
+def _run_figure(name, config, ladder):
+    """One figure's table, run serially in-process from a clean memo. The
+    group-workload memo is keyed on the config, not on the ingest path,
+    so it is cleared before and after every run: a ladder run must never
+    be served the product's results (or leave its own behind)."""
+    clear_memo()
+    try:
+        if not ladder:
+            results, errors = run_suite([name], config, jobs=1)
+        else:
+            before = segment_ladder.calls
+            with ladder_engines():
+                results, errors = run_suite([name], config, jobs=1)
+            assert segment_ladder.calls > before, "the ladder never ran"
+    finally:
+        clear_memo()
+    assert not errors, errors
+    return results[name].table() + "\n"
+
+
+class TestFigureTwins:
+    """Whole figures replayed through the ladders: the in-process form of
+    ``diff <(repro figN) <(repro figN through the ladder)``."""
+
+    def test_fig4_small_ladder_matches_golden(self):
+        golden_path = GOLDEN_DIR / "fig4_small.txt"
+        expected = golden_path.read_text()
+        actual = _run_figure("fig4", ExperimentConfig.small(), ladder=True)
+        assert actual == expected, "\n".join(
+            difflib.unified_diff(
+                expected.splitlines(),
+                actual.splitlines(),
+                fromfile=str(golden_path),
+                tofile="fig4 (ladder)",
+                lineterm="",
+            )
+        )
+
+    def test_fig2_ladder_matches_product(self):
+        config = ExperimentConfig.small()
+        product = _run_figure("fig2", config, ladder=False)
+        assert _run_figure("fig2", config, ladder=True) == product
+
+
+class TestLadderInstallation:
+    def test_product_restored_after_block(self):
+        """Leaving ``ladder_engines`` — normally or by an exception —
+        puts every product ``_process_segment`` back; otherwise later
+        tests would compare the ladder with itself."""
+        product = {cls: cls.__dict__["_process_segment"] for cls in segment_ladder.LADDERS}
+        with ladder_engines():
+            for cls in product:
+                assert cls.__dict__["_process_segment"] is not product[cls]
+        with pytest.raises(RuntimeError):
+            with ladder_engines():
+                raise RuntimeError
+        for cls, method in product.items():
+            assert cls.__dict__["_process_segment"] is method
 
 
 class TestIndexBatchAccounting:

@@ -141,6 +141,19 @@ class TestSparseIndex:
                 == r.logical_bytes
             )
 
+    def test_deterministic(self, segmenter, small_jobs):
+        """Two runs of one workload agree on every report, recipe,
+        counter and the simulated clock (SparseIndex has one ingest path,
+        so the segment-ladder oracle suite does not cover it)."""
+        from tests.dedup.test_batch_equivalence import state_fingerprint
+
+        prints = []
+        for _ in range(2):
+            eng = sparse(sample_rate=8, cache_manifests=4)
+            reports = run_workload(eng, small_jobs, segmenter)
+            prints.append(state_fingerprint(eng.res, reports, eng))
+        assert prints[0] == prints[1]
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             sparse(sample_rate=0)

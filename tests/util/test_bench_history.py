@@ -12,7 +12,7 @@ from repro.bench import (
 
 
 def _records():
-    ingest = {"batch_seconds": 0.2, "scalar_seconds": 1.3, "speedup": 6.5}
+    ingest = {"batch_seconds": 0.2}
     restore = {"restore_seconds": 0.025, "faa_seconds": 0.024}
     chunking = {"seqcdc_mb_per_s": 60.0, "speedup": 24.0}
     memory = {"peak_rss_mb": 160.0, "logical_bytes": 11_900_000_000}
@@ -36,6 +36,27 @@ class TestHistoryRecord:
         rec = history_record(ingest={"batch_seconds": 0.3})
         assert rec["ingest_batch_seconds"] == 0.3
         assert "restore_seconds" not in rec
+
+    def test_recorded_scalar_fields_are_ignored(self):
+        """Committed records keep the ``scalar_seconds`` / ``speedup`` of
+        the retired chunk-at-a-time measurement; they still load, and no
+        history field is derived from them."""
+        rec = history_record(
+            ingest={"batch_seconds": 0.2, "scalar_seconds": 1.3, "speedup": 6.5}
+        )
+        assert rec == {"ingest_batch_seconds": 0.2}
+
+    def test_committed_ingest_baseline_loads(self):
+        import pathlib
+
+        import repro
+        from repro.bench import check_regression, load_baseline
+
+        root = pathlib.Path(repro.__file__).resolve().parents[2]
+        baseline = load_baseline(root / "BENCH_ingest.json")
+        assert baseline is not None
+        now = {"batch_seconds": baseline["ingest"]["batch_seconds"]}
+        assert check_regression(now, baseline) is None
 
     def test_manifest_merged_first(self):
         rec = history_record(
