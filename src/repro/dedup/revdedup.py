@@ -84,47 +84,40 @@ class RevDedupEngine(DedupEngine):
             index=segment.index, n_chunks=segment.n_chunks, nbytes=segment.nbytes
         )
         assert self._recipe is not None
-        recipe = self._recipe
-        fps = [int(f) for f in segment.fps]
-        sizes = [int(s) for s in segment.sizes]
+        fps = segment.fps.tolist()
+        sizes = segment.sizes.tolist()
         key = (tuple(fps), tuple(sizes))
         sid = self._next_sid
         self._next_sid += 1
         index = self.res.index
-        store_has = self.res.store.has
-        locs = None
+        cids = None
         if key in self._prev_segs or key in self._cur_segs:
             # whole-segment duplicate: reference the stored copies at
             # whatever location the index currently considers canonical
             # (peek is a RAM probe — coarse dedup pays no index IO).
             # An external GC pass may have collected a copy behind the
-            # engine's back; any unresolvable chunk demotes the whole
+            # engine's back, and a copy may still sit in the open
+            # container; any unresolvable chunk demotes the whole
             # segment to the write path.
-            locs = [index.peek(fp) for fp in fps]
-            if not all(loc is not None and store_has(loc.cid) for loc in locs):
-                locs = None
-        if locs is not None:
+            locs = index.peek_many(fps)
+            if None not in locs:
+                cids = [loc.cid for loc in locs]
+                if not all(map(self.res.store.has, set(cids))):
+                    cids = None
+        if cids is not None:
             self._seg_hits += 1
-            for fp, size, loc in zip(fps, sizes, locs):
-                recipe.add(fp, size, loc.cid)
             outcome.removed_dup = segment.nbytes
         else:
             # any change at all: write the segment out whole, duplicate
             # chunks included, keeping the new backup sequential; the
             # index is repointed so the fresh copy becomes canonical
             self._seg_writes += 1
-            gen_written = self._gen_written
-            store_append = self.res.store.append
-            for fp, size in zip(fps, sizes):
-                cid = store_append(fp, size)
-                loc = ChunkLocation(cid, sid)
-                if index.peek(fp) is None:
-                    index.insert(fp, loc)
-                else:
-                    index.update(fp, loc)
-                gen_written[fp] = cid
-                recipe.add(fp, size, cid)
+            cids = self.res.store.append_run(fps, sizes)
+            homes = {cid: ChunkLocation(cid, sid) for cid in set(cids)}
+            index.upsert_many(fps, [homes[cid] for cid in cids])
+            self._gen_written.update(zip(fps, cids))
             outcome.written_new = segment.nbytes
+        self._recipe.add_many(fps, sizes, cids)
         self._cur_segs.add(key)
         return outcome
 

@@ -222,19 +222,10 @@ class DiskChunkIndex:
         nor polluted (the sweep is scan-resistant). Results are in
         input order, one location (or None) per fingerprint.
         """
-        if isinstance(fps, np.ndarray):
-            fps = fps.tolist()
+        out = self.peek_many(fps)
         stats = self.stats
-        map_get = self._map.get
-        out: List[Optional[ChunkLocation]] = []
-        negatives = 0
-        for fp in fps:
-            loc = map_get(int(fp))
-            if loc is None:
-                negatives += 1
-            out.append(loc)
         stats.lookups += len(out)
-        stats.negative_lookups += negatives
+        stats.negative_lookups += out.count(None)
         if out:
             stats.sweeps += 1
             stats.sweep_pages += self.n_pages
@@ -274,6 +265,21 @@ class DiskChunkIndex:
                 self._track(fp)
         self._map.update(zip(fps, locations))
         self.stats.updates += len(locations)
+
+    def upsert_many(self, fps, locations) -> None:
+        """Record a run of freshly written copies, each fingerprint's
+        entry created or re-pointed — ``insert`` where the fingerprint is
+        absent, else ``update``, pairwise and in order, batched. A
+        fingerprint repeated in the run is inserted at most once: its
+        later pairs are updates, as sequential calls would count them.
+        ``fps`` must be plain ints."""
+        if self._unflushed is not None:
+            for fp in fps:
+                self._track(fp)
+        new = len(set(fps).difference(self._map))
+        self._map.update(zip(fps, locations))
+        self.stats.inserts += new
+        self.stats.updates += len(locations) - new
 
     def update(self, fp: int, location: ChunkLocation) -> None:
         """Re-point an existing fingerprint at a fresher physical copy
@@ -346,6 +352,13 @@ class DiskChunkIndex:
     def peek(self, fp: int) -> Optional[ChunkLocation]:
         """Location without any disk charge (oracle/bookkeeping use)."""
         return self._map.get(int(fp))
+
+    def peek_many(self, fps) -> List[Optional[ChunkLocation]]:
+        """``[peek(fp) for fp in fps]``: locations without any disk
+        charge or stats change, in input order."""
+        if isinstance(fps, np.ndarray):
+            fps = fps.tolist()
+        return list(map(self._map.get, fps))
 
     @property
     def disk_bytes(self) -> int:

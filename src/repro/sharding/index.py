@@ -178,6 +178,11 @@ class ShardedChunkIndex:
     def peek(self, fp: int) -> Optional[ChunkLocation]:
         return self.shards[self.router.shard_of(int(fp))].peek(fp)
 
+    def peek_many(self, fps) -> List[Optional[ChunkLocation]]:
+        if isinstance(fps, np.ndarray):
+            fps = fps.tolist()
+        return list(map(self._map.get, fps))
+
     # -- obs (twin-run contract: counters only, never behavior) ----------
 
     def _record_obs(self, lookups: int = 0, inserts: int = 0) -> None:
@@ -270,6 +275,20 @@ class ShardedChunkIndex:
         for shard_id in sorted(parts):
             positions, shard_fps = parts[shard_id]
             self.shards[shard_id].update_many(
+                shard_fps, [locations[p] for p in positions]
+            )
+
+    def upsert_many(self, fps, locations) -> None:
+        """Per-shard ``upsert_many`` in shard order: each shard sees its
+        own pairs in input order, so its counts and journal match
+        sequential ``insert``/``update`` calls."""
+        if self.n_shards == 1:
+            self.shards[0].upsert_many(fps, locations)
+            return
+        parts = self.router.partition(fps)
+        for shard_id in sorted(parts):
+            positions, shard_fps = parts[shard_id]
+            self.shards[shard_id].upsert_many(
                 shard_fps, [locations[p] for p in positions]
             )
 

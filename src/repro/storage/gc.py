@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -178,11 +179,12 @@ class GarbageCollector:
         has_target = np.zeros(n_fps, dtype=bool)
         if redirect:
             keys = np.fromiter(redirect, np.uint64, len(redirect))
-            order = np.argsort(keys)
-            at, has_target = _locate(refs.fps, keys[order])
-            targets = np.fromiter(redirect.values(), np.int64, len(redirect))[order]
-            target[has_target] = targets[at[has_target]]
-            has_target &= _locate(target, sealed)[1]
+            targets = np.fromiter(redirect.values(), np.int64, len(redirect))
+            # the keys found among the (sorted, distinct) live fingerprints
+            at, found = _locate(keys, refs.fps)
+            target[at[found]] = targets[found]
+            has_target[at[found]] = True
+            has_target &= _locate_ids(target, sealed)[1]
         # pre-moved pairs: references repointed at their target up front
         pre = has_target[refs.fp] & (target[refs.fp] != refs.cid)
         cids = np.where(pre, target[refs.fp], refs.cid)
@@ -193,7 +195,7 @@ class GarbageCollector:
         ratio = np.divide(live, data, out=np.zeros(len(data)), where=nonempty)
         selected = ratio < min_utilization
         if rewrite_redirected:
-            at, found = _locate(refs.cid[pre], sealed)
+            at, found = _locate_ids(refs.cid[pre], sealed)
             selected[at[found]] = True
         victims = sealed[nonempty & selected]
         victim_list = victims.tolist()
@@ -217,7 +219,7 @@ class GarbageCollector:
 
             # a superseded copy is reclaimed when its redirect target
             # survives the pass; every other live chunk is copied once
-            redirected_ok = has_target & ~_locate(target, victims)[1]
+            redirected_ok = has_target & ~_locate_ids(target, victims)[1]
             moved_to = np.full(n_fps, -1, dtype=np.int64)  # fp -> its new copy
             # per victim: the fingerprint ranks of its live chunks, and
             # the container each one now lives in
@@ -227,18 +229,17 @@ class GarbageCollector:
             for cid in victim_list:
                 sealed_container = store.read_container(cid)  # charged read
                 rank, is_live = _locate(sealed_container.fingerprints, refs.fps)
-                rank = rank[is_live]
-                sizes = sealed_container.sizes[is_live]
+                live = np.flatnonzero(is_live)
+                rank = rank[live]
                 redirected = redirected_ok[rank]
                 # the first copy of a live chunk not yet moved is copied;
                 # any later copy is a dead duplicate the moved one serves
-                fresh = np.flatnonzero(~redirected & (moved_to[rank] < 0))
-                first = np.sort(np.unique(rank[fresh], return_index=True)[1])
-                copy = fresh[first]
+                copy = np.flatnonzero(~redirected & (moved_to[rank] < 0))
                 copied = 0
                 if copy.size:
+                    copy = copy[_first_occurrences(rank[copy])]
                     fps = refs.fps[rank[copy]].tolist()
-                    copy_sizes = sizes[copy].tolist()
+                    copy_sizes = sealed_container.sizes[live[copy]].tolist()
                     new_cids = store.append_run(fps, copy_sizes)  # charged on seal
                     moved_to[rank[copy]] = new_cids
                     copied = sum(copy_sizes)
@@ -293,11 +294,12 @@ class GarbageCollector:
         segment id)."""
         from repro.index.full_index import ChunkLocation
 
-        locations = [
-            ChunkLocation(cid, -1 if old is None else old.sid)
-            for cid, old in zip(cids, map(self.index.peek, fps))
-        ]
-        self.index.update_many(fps, locations)
+        sids = [-1 if old is None else old.sid for old in self.index.peek_many(fps)]
+        pairs = list(zip(cids, sids))
+        # one location object per distinct (container, segment): a run
+        # of moved chunks shares a handful
+        homes = {pair: ChunkLocation(*pair) for pair in set(pairs)}
+        self.index.update_many(fps, list(map(homes.__getitem__, pairs)))
 
     def _record(self, report: GCReport) -> None:
         """Feed the ambient observability session (no-op when disabled)."""
@@ -337,6 +339,33 @@ def _locate(values: np.ndarray, sorted_ids: np.ndarray) -> Tuple[np.ndarray, np.
     return pos, found
 
 
+def _locate_ids(ids: np.ndarray, sorted_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_locate` for container ids (small integers): one gather
+    from a table over their range instead of a binary search per id
+    (a branchy search is most of a pass's cost at this size). Absent ids
+    get position -1. Falls back to the search when the ids are too
+    sparse for a table."""
+    if not len(ids) or not len(sorted_ids):
+        return np.full(len(ids), -1, dtype=np.int64), np.zeros(len(ids), dtype=bool)
+    lo = min(int(ids.min()), int(sorted_ids[0]))
+    span = max(int(ids.max()), int(sorted_ids[-1])) - lo + 1
+    if span > 16 * (len(ids) + len(sorted_ids)) + 4096:
+        return _locate(ids, sorted_ids)
+    table = np.full(span, -1, dtype=np.int64)
+    table[sorted_ids - lo] = np.arange(len(sorted_ids))
+    pos = table[ids - lo]
+    return pos, pos >= 0
+
+
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """Positions of the first occurrence of each distinct value, in
+    order (all positions when the values are distinct, the usual case)."""
+    ordered = np.sort(values)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return np.arange(len(values))
+    return np.sort(np.unique(values, return_index=True)[1])
+
+
 def _utilization(live: np.ndarray, data: np.ndarray) -> float:
     """Live fraction of a log with ``data`` payload bytes per container."""
     total = int(data.sum())
@@ -365,25 +394,49 @@ class _References:
         self.sizes = np.concatenate(
             [r.sizes for r in self.recipes] or [[]], dtype=np.int64, casting="unsafe"
         )
-        order = np.lexsort((cids, fps))
-        fps, cids = fps[order], cids[order]
-        new_fp = np.ones(len(fps), dtype=bool)
+        n = len(fps)
+        # the stable order by (fingerprint, container): sort by
+        # fingerprint, then put each fingerprint's references in
+        # (container, position) order. The key for that second sort is
+        # one exact mixed-radix number that is already sorted but within
+        # a fingerprint, so a stable sort finishes it in a near-linear pass.
+        by_fp = np.argsort(fps)
+        fps = fps[by_fp]
+        new_fp = np.ones(n, dtype=bool)
         new_fp[1:] = fps[1:] != fps[:-1]
+        rank = np.cumsum(new_fp) - 1
+        digit = cids[by_fp] - (cids.min() if n else 0)
+        span = int(digit.max()) + 1 if n else 1
+        if (int(rank[-1]) + 1 if n else 1) * span * n < 1 << 63:
+            within = np.argsort((rank * span + digit) * n + by_fp, kind="stable")
+        else:
+            within = np.lexsort((by_fp, digit, rank))
+        order = by_fp[within]
+        cids = cids[order]
         new_pair = new_fp.copy()
         new_pair[1:] |= cids[1:] != cids[:-1]
-        ends_pair = np.ones(len(fps), dtype=bool)
+        ends_pair = np.ones(n, dtype=bool)
         ends_pair[:-1] = new_pair[1:]
+        # (positions, not boolean masks: a gather is several times cheaper)
+        starts = np.flatnonzero(new_pair)
         #: the sorted distinct fingerprints (the live set)
-        self.fps = fps[new_fp]
+        self.fps = fps[np.flatnonzero(new_fp)]
         # per pair: its fingerprint's rank in self.fps, its container,
-        # and its first and last reference (the sort is stable)
-        self.fp = (np.cumsum(new_fp) - 1)[new_pair]
-        self.cid = cids[new_pair]
-        self.first = order[new_pair]
-        self.last = order[ends_pair]
-        #: the pair of every reference, in recipe order
-        self.pair = np.empty(len(fps), dtype=np.int64)
-        self.pair[order] = np.cumsum(new_pair) - 1
+        # and its first and last reference
+        self.fp = rank[starts]
+        self.cid = cids[starts]
+        self.first = order[starts]
+        self.last = order[np.flatnonzero(ends_pair)]
+        self._order = order
+        self._new_pair = new_pair
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """The pair of every reference, in recipe order (only a remap
+        needs it)."""
+        pair = np.empty(len(self._order), dtype=np.int64)
+        pair[self._order] = np.cumsum(self._new_pair) - 1
+        return pair
 
     def live_bytes(
         self, cids: np.ndarray, sealed: np.ndarray, moved: Optional[np.ndarray] = None
@@ -399,18 +452,20 @@ class _References:
         their own.
         """
         n = len(sealed)
-        pos, found = _locate(cids, sealed)
-        fp = self.fp[found]
+        pos, found = _locate_ids(cids, sealed)
+        pairs = np.flatnonzero(found)
+        fp = self.fp[pairs]
         last = np.full(len(self.fps), -1, dtype=np.int64)
-        np.maximum.at(last, fp, self.last[found])
+        np.maximum.at(last, fp, self.last[pairs])
         # (fingerprint, container) as one exact mixed-radix key, not a hash
-        key = fp * n + pos[found]
-        went = moved[found] if moved is not None else np.zeros(len(key), dtype=bool)
-        stay = key[~went]
-        distinct = np.ones(len(stay), dtype=bool)
-        distinct[1:] = stay[1:] != stay[:-1]
-        keys = np.concatenate([stay[distinct], np.unique(key[went])])
-        fp, pos = np.divmod(keys, max(n, 1))
+        key = fp * n + pos[pairs]
+        if moved is not None:
+            # the moved pairs sort apart, after the others
+            went = moved[pairs]
+            key = np.concatenate([key[~went], np.sort(key[went])])
+        distinct = np.ones(len(key), dtype=bool)
+        distinct[1:] = key[1:] != key[:-1]
+        fp, pos = np.divmod(key[np.flatnonzero(distinct)], max(n, 1))
         live = np.bincount(pos, weights=self.sizes[last[fp]], minlength=n)
         return live.astype(np.int64), np.bincount(pos, minlength=n) > 0
 
@@ -482,13 +537,15 @@ def _follow(
     # (fingerprint, victim) as one exact mixed-radix key, not a hash
     key = np.concatenate([rank * n + i for i, (rank, _) in enumerate(swept)])
     homes = np.concatenate([home for _, home in swept])
-    order = np.argsort(key, kind="stable")
+    # a chunk held twice by one victim has one home: any copy answers
+    order = np.argsort(key)
     key, homes = key[order], homes[order]
-    at, in_victim = _locate(cids, victims)
-    pos, moved = _locate(fp * n + at, key)
-    moved &= in_victim
+    at, moved = _locate_ids(cids, victims)
+    pairs = np.flatnonzero(moved)
+    pos, found = _locate(fp[pairs] * n + at[pairs], key)
+    moved[pairs] = found
     cids = cids.copy()
-    cids[moved] = homes[pos[moved]]
+    cids[pairs[found]] = homes[pos[found]]
     return cids, moved
 
 

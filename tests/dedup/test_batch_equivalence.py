@@ -12,8 +12,8 @@ are replayed through the ladders as whole figures.
 
 Every ladder run asserts that the oracle's call counter advanced by the
 number of segments ingested, so the suite fails if the ladder is not
-installed. SparseIndex, RevDedup and Hybrid have one ingest path only
-and are not compared here.
+installed. SparseIndex and Hybrid have one ingest path only and are not
+compared here.
 """
 
 import contextlib
@@ -33,11 +33,14 @@ from repro.dedup.ddfs import DDFSEngine
 from repro.dedup.exact import ExactEngine
 from repro.dedup.idedup import IDedupEngine
 from repro.dedup.pipeline import GroundTruth, run_backup
+from repro.dedup.revdedup import RevDedupEngine
 from repro.dedup.silo import SiLoEngine
 from repro.experiments.common import clear_memo
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.suite import run_suite
 from repro.segmenting.segmenter import ContentDefinedSegmenter
+from repro.storage.gc import GarbageCollector
+from repro.storage.store import StoreConfig
 from repro.workloads.generators import BackupJob, single_user_incrementals
 
 from tests.conftest import TEST_PROFILE
@@ -76,6 +79,7 @@ ENGINE_FACTORIES = {
     "idedup": lambda r: IDedupEngine(
         r, min_sequence=4, bloom_capacity=50_000, cache_containers=4
     ),
+    "revdedup": lambda r: RevDedupEngine(r),
 }
 
 
@@ -265,6 +269,207 @@ class TestEquivalenceUnderTracing:
         traced_fp, _, _, _ = self._run_traced(name, streams)
         untraced_fp, _ = run_engine(ENGINE_FACTORIES[name], streams)
         assert untraced_fp == traced_fp
+
+
+# -- RevDedup over its whole lifecycle -----------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class RevDedupPlan:
+    """Backups built from a small pool of fingerprint blocks, so whole
+    segments recur within a backup and across backups, plus the
+    lifecycle around them."""
+
+    blocks: tuple  # each a tuple of fingerprints, repeats allowed
+    backups: tuple  # each a tuple of block indices
+    gc_after: tuple  # per backup: run an external GC pass after it
+    retain: int  # recipes kept restorable (0: every copy is garbage)
+    maintain: bool  # end_generation after every backup
+    spill: bool  # two resident containers, the rest spilled
+    journal: bool
+
+
+@st.composite
+def revdedup_plans(draw):
+    blocks = draw(
+        st.lists(
+            st.lists(st.integers(0, 200), min_size=1, max_size=40).map(tuple),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    n = len(blocks)
+    backups = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), max_size=8).map(tuple),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return RevDedupPlan(
+        blocks=tuple(blocks),
+        backups=tuple(backups),
+        gc_after=tuple(draw(st.lists(st.booleans(), min_size=len(backups), max_size=len(backups)))),
+        retain=draw(st.integers(0, 3)),
+        maintain=draw(st.booleans()),
+        spill=draw(st.booleans()),
+        journal=draw(st.booleans()),
+    )
+
+
+def plan_streams(plan):
+    return [
+        ChunkStream.from_pairs(
+            [(fp, 256 + (fp * 37) % 3840) for b in backup for fp in plan.blocks[b]]
+        )
+        for backup in plan.backups
+    ]
+
+
+def classify(engine, segment):
+    """How the coarse dedup must treat ``segment`` (read before it is
+    processed): new, a hit on the previous or the current backup, or a
+    candidate demoted to the write path because a copy sits in the open
+    container or was collected."""
+    key = (tuple(segment.fps.tolist()), tuple(segment.sizes.tolist()))
+    if key in engine._cur_segs:
+        kind = "current"
+    elif key in engine._prev_segs:
+        kind = "previous"
+    else:
+        return "new"
+    store = engine.res.store
+    cids = [engine.res.index.peek(fp).cid for fp in key[0]]
+    if all(map(store.has, cids)):
+        return "hit-" + kind
+    open_ = store.open_container
+    if open_ is not None and open_.cid in cids:
+        return "demoted-open"
+    return "demoted-collected"
+
+
+def run_revdedup(plan, kinds=None):
+    """The plan through RevDedup: everything observable from the run,
+    and its backup reports. ``kinds`` (a list) collects
+    :func:`classify` for every segment."""
+    res = EngineResources.create(
+        profile=TEST_PROFILE,
+        expected_entries=50_000,
+        index_page_cache_pages=4,
+        store_config=StoreConfig(
+            container_bytes=64 * 1024,
+            seal_seeks=0,
+            journal=plan.journal,
+            resident_containers=2 if plan.spill else None,
+        ),
+    )
+    engine = RevDedupEngine(res)
+    if kinds is not None:
+        process = engine.process_segment
+
+        def classified(segment):
+            kinds.append(classify(engine, segment))
+            return process(segment)
+
+        engine.process_segment = classified
+    segmenter = small_segmenter()
+    gt = GroundTruth()
+    reports, passes, recipes = [], [], []
+    for g, stream in enumerate(plan_streams(plan)):
+        reports.append(run_backup(engine, BackupJob(g, "u", stream), segmenter, gt))
+        recipes = (recipes + [reports[-1].recipe])[-plan.retain :] if plan.retain else []
+        if plan.maintain:
+            report, recipes = engine.end_generation(recipes)
+            passes.append(report)
+        if plan.gc_after[g]:
+            gc = GarbageCollector(res.store, res.index)
+            report, recipes = gc.collect(recipes, min_utilization=0.5)
+            passes.append(report)
+    store = res.store
+    state = state_fingerprint(res, reports, engine) + [
+        passes,
+        [(r.fingerprints.tobytes(), r.sizes.tobytes(), r.containers.tobytes()) for r in recipes],
+        list(res.index._map.items()),
+        res.index._unflushed and list(res.index._unflushed.items()),
+        [(cid, store.get(cid).fingerprints.tobytes()) for cid in store.cids()],
+        list(store._resident),
+        dataclasses.astuple(store.spill_stats),
+        store.journal_records(),
+        list(engine._gen_written.items()),
+        list(engine._pending_redirect.items()),
+        res.disk.clock.now,
+    ]
+    return state, reports
+
+
+#: three backups of blocks A, B, A (B repeats fingerprints inside its
+#: segments); the second A of each backup hits the first (some of whose
+#: copies still sit in the open container), every backup hits the one
+#: before, and an external GC after the second backup, with nothing
+#: retained, collects the copies the third one would hit
+COVERING_PLAN = RevDedupPlan(
+    blocks=(tuple(range(40)), (107, 108, 107, 109) * 5),
+    backups=((0, 1, 0),) * 3,
+    gc_after=(False, True, False),
+    retain=0,
+    maintain=True,
+    spill=True,
+    journal=True,
+)
+
+
+def revdedup_twin(plan, run=run_revdedup):
+    """``run(plan)`` through the product and through the ladder."""
+    product, _ = run(plan)
+    with ladder_run() as ladder_reports:
+        ladder, reports = run(plan)
+        ladder_reports.extend(reports)
+    return product, ladder
+
+
+class TestRevDedupEquivalence:
+    """RevDedup's segment-at-a-time path against its ladder across the
+    whole lifecycle: segment hits on the previous and the current
+    backup, fingerprints repeated inside a segment, hits demoted because
+    a copy still sits in the open container or was collected by an
+    external GC, and maintenance after every backup over a spilling,
+    journaled store."""
+
+    @given(plan=revdedup_plans())
+    @settings(max_examples=120, deadline=None)
+    def test_random_lifecycles_identical(self, plan):
+        product, ladder = revdedup_twin(plan)
+        assert product == ladder
+
+    def test_fixed_lifecycle_covers_every_path(self):
+        """One fixed plan that reaches every branch of the coarse dedup
+        (so the comparison above cannot pass by missing one)."""
+        kinds = []
+        run_revdedup(COVERING_PLAN, kinds)
+        assert {
+            "new",
+            "hit-previous",
+            "hit-current",
+            "demoted-open",
+            "demoted-collected",
+        } <= set(kinds)
+        product, ladder = revdedup_twin(COVERING_PLAN)
+        assert product == ladder
+
+    def test_traced_lifecycle_identical(self):
+        """Under an obs session: the same metric snapshots and events."""
+        from repro.obs import ListEventSink, Observability, obs_session
+
+        def traced(plan):
+            sink = ListEventSink()
+            with obs_session(Observability(events=sink)) as obs:
+                state, reports = run_revdedup(plan)
+            return (state, obs.registry.snapshot(), sink.events), reports
+
+        product, ladder = revdedup_twin(COVERING_PLAN, traced)
+        assert product[0] == ladder[0]  # reports, clocks, counters, state
+        assert product[1] == ladder[1]  # metric snapshots
+        assert product[2] == ladder[2]  # event streams
 
 
 def _run_figure(name, config, ladder):

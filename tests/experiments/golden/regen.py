@@ -11,8 +11,11 @@ these files byte-for-byte.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import pathlib
 
+from repro.cli import main
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.suite import run_suite
 
@@ -60,6 +63,17 @@ def regenerate() -> None:
         raise SystemExit(f"cannot regenerate, experiments failed: {tenants_errors}")
     path = GOLDEN_DIR / "tenants_small.txt"
     path.write_text(tenants_results["tenants"].table(fmt="{:.2f}") + "\n")
+    print(f"wrote {path}")
+    # the RevDedup crash-recovery sweep over a spilling store (its stdout)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(
+            ["chaos", "--engine", "RevDedup", "--crash-points", "12", "--seed", "7", "--spill"]
+        )
+    if code != 0:
+        raise SystemExit(f"cannot regenerate, the chaos sweep failed:\n{out.getvalue()}")
+    path = GOLDEN_DIR / "chaos_revdedup_spill.txt"
+    path.write_text(out.getvalue())
     print(f"wrote {path}")
 
 

@@ -143,6 +143,28 @@ class TestGoldenTables:
                 f"\n{diff}"
             )
 
+    def test_revdedup_chaos_spill_byte_identical(self, capsys):
+        """The RevDedup crash-recovery sweep over a spilling store. Its
+        crash sites are indexed by charged disk operation, so a seal or
+        read charge that moves inside ingest or maintenance moves a crash
+        site and shows here, even when every figure stays the same."""
+        from repro.cli import main
+
+        argv = ["chaos", "--engine", "RevDedup", "--crash-points", "12", "--seed", "7"]
+        assert main(argv + ["--spill"]) == 0
+        actual = capsys.readouterr().out
+        golden_path = GOLDEN_DIR / "chaos_revdedup_spill.txt"
+        expected = golden_path.read_text()
+        assert actual == expected, "\n".join(
+            difflib.unified_diff(
+                expected.splitlines(),
+                actual.splitlines(),
+                fromfile=str(golden_path),
+                tofile="chaos --engine RevDedup --spill (current)",
+                lineterm="",
+            )
+        )
+
     def test_default_fig6_has_no_restore_columns(self, suite_results):
         """The restore-subsystem columns only appear under non-default
         restore knobs; the recorded default table must not grow them."""
@@ -156,3 +178,4 @@ class TestGoldenTables:
         assert (GOLDEN_DIR / "fig4_small_bytes.txt").is_file()
         assert (GOLDEN_DIR / "frontier_small.txt").is_file()
         assert (GOLDEN_DIR / "fig4_small_extended.txt").is_file()
+        assert (GOLDEN_DIR / "chaos_revdedup_spill.txt").is_file()

@@ -2,12 +2,13 @@
 
 The product engines resolve a segment's whole fingerprint vector at a
 time. This module keeps the original one-chunk-at-a-time decision
-ladders of DDFS, DeFrag, iDedup, SiLo and Exact as plain functions that
-take the engine as their first argument. :func:`ladder_engines` installs
-them as ``_process_segment`` on those five classes for the duration of a
-``with`` block, so any workload or figure can be replayed through the
-ladder and compared with the product byte for byte: reports, simulated
-clock, every counter, recipes, and traced metrics and events.
+ladders of DDFS, DeFrag, iDedup, SiLo, Exact and RevDedup as plain
+functions that take the engine as their first argument.
+:func:`ladder_engines` installs them as ``_process_segment`` on those
+six classes for the duration of a ``with`` block, so any workload or
+figure can be replayed through the ladder and compared with the product
+byte for byte: reports, simulated clock, every counter, recipes, and
+traced metrics and events.
 
 :data:`calls` counts ladder segments processed, so a test can prove the
 ladder actually ran (and that memoised product results were not served
@@ -25,6 +26,7 @@ from repro.dedup.base import SegmentOutcome
 from repro.dedup.ddfs import DDFSEngine
 from repro.dedup.exact import ExactEngine
 from repro.dedup.idedup import IDedupEngine
+from repro.dedup.revdedup import RevDedupEngine
 from repro.dedup.silo import SiLoEngine
 from repro.index.full_index import ChunkLocation
 from repro.segmenting.blocks import representative_fingerprint
@@ -320,6 +322,50 @@ def exact_process_segment(engine, segment: Segment) -> SegmentOutcome:
     return outcome
 
 
+# -- RevDedup -----------------------------------------------------------
+
+
+def revdedup_process_segment(engine, segment: Segment) -> SegmentOutcome:
+    outcome = SegmentOutcome(
+        index=segment.index, n_chunks=segment.n_chunks, nbytes=segment.nbytes
+    )
+    assert engine._recipe is not None
+    recipe = engine._recipe
+    fps = [int(f) for f in segment.fps]
+    sizes = [int(s) for s in segment.sizes]
+    key = (tuple(fps), tuple(sizes))
+    sid = engine._next_sid
+    engine._next_sid += 1
+    index = engine.res.index
+    store_has = engine.res.store.has
+    locs = None
+    if key in engine._prev_segs or key in engine._cur_segs:
+        locs = [index.peek(fp) for fp in fps]
+        if not all(loc is not None and store_has(loc.cid) for loc in locs):
+            locs = None
+    if locs is not None:
+        engine._seg_hits += 1
+        for fp, size, loc in zip(fps, sizes, locs):
+            recipe.add(fp, size, loc.cid)
+        outcome.removed_dup = segment.nbytes
+    else:
+        engine._seg_writes += 1
+        gen_written = engine._gen_written
+        store_append = engine.res.store.append
+        for fp, size in zip(fps, sizes):
+            cid = store_append(fp, size)
+            loc = ChunkLocation(cid, sid)
+            if index.peek(fp) is None:
+                index.insert(fp, loc)
+            else:
+                index.update(fp, loc)
+            gen_written[fp] = cid
+            recipe.add(fp, size, cid)
+        outcome.written_new = segment.nbytes
+    engine._cur_segs.add(key)
+    return outcome
+
+
 # -- installation -------------------------------------------------------
 
 #: engine class -> its chunk-at-a-time ladder
@@ -329,6 +375,7 @@ LADDERS = {
     IDedupEngine: idedup_process_segment,
     SiLoEngine: silo_process_segment,
     ExactEngine: exact_process_segment,
+    RevDedupEngine: revdedup_process_segment,
 }
 
 
@@ -343,9 +390,10 @@ def _counted(ladder):
 
 @contextlib.contextmanager
 def ladder_engines() -> Iterator[None]:
-    """Route every DDFS, DeFrag, iDedup, SiLo and Exact engine through its
-    chunk-at-a-time ladder while the block runs (engines built before the
-    block are rerouted too: the ladder replaces the class attribute)."""
+    """Route every DDFS, DeFrag, iDedup, SiLo, Exact and RevDedup engine
+    through its chunk-at-a-time ladder while the block runs (engines built
+    before the block are rerouted too: the ladder replaces the class
+    attribute)."""
     saved = {cls: cls.__dict__["_process_segment"] for cls in LADDERS}
     try:
         for cls, ladder in LADDERS.items():
