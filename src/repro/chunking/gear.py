@@ -53,7 +53,7 @@ _BLOCK = 256 * KIB
 
 #: simulated CPU bandwidth for the informational chunking span, matching
 #: ``repro.dedup.base.SegmentCost.cpu_seconds_per_byte`` (1/600e6) so the
-#: bench phase breakdown prices chunking like the engines price their
+#: traced phase breakdown prices chunking like the engines price their
 #: analytic CPU term
 _SIM_CPU_BYTES_PER_SECOND = 600e6
 

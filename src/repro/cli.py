@@ -8,7 +8,6 @@ Usage::
     python -m repro alpha-sweep --jobs 5
     python -m repro fig6 --restore-policy belady --faa-window 2048 --readahead
     python -m repro restore-ablation --scale small --jobs 6
-    python -m repro bench --quick
     python -m repro trace fig4 --scale small --events out.jsonl
     python -m repro trace fig4 --scale small --perfetto trace.json
     python -m repro stats --last
@@ -75,15 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         choices=sorted(_FIGURES)
-        + ["all", "report", "bench", "trace", "stats", "dash", "chaos"],
+        + ["all", "report", "trace", "stats", "dash", "chaos"],
         help="which figure/ablation to regenerate ('all' runs fig2..fig6; "
-        "'report' renders everything as one markdown document; 'bench' "
-        "times the ingest path against the committed baseline; 'trace' "
+        "'report' renders everything as one markdown document; 'trace' "
         "reruns one figure with observability on; 'stats' prints the "
         "last trace's metrics snapshot; 'dash' renders a standalone "
-        "HTML dashboard from trace snapshots, committed bench "
-        "baselines, and the bench history; 'chaos' sweeps seeded crash "
-        "points through the fault-injection/recovery subsystem)",
+        "HTML dashboard from the engine registry and trace snapshots; "
+        "'chaos' sweeps seeded crash points through the fault-injection/"
+        "recovery subsystem)",
     )
     parser.add_argument(
         "target",
@@ -203,34 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard the fingerprint index N ways behind the same "
         "interface (1 = degenerate wrapper, byte-identical to the "
         "unsharded substrate; also applies to the chaos scenario)",
-    )
-    bench = parser.add_argument_group("bench options")
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="bench: one repetition per measurement; skips the FAA + "
-        "read-ahead restore measurement",
-    )
-    bench.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="bench: skip the regression gate against the committed "
-        "BENCH_ingest.json",
-    )
-    bench.add_argument(
-        "--memory",
-        action="store_true",
-        help="bench: run ONLY the bounded-RSS memory bench — an out-of-"
-        "core ingest+restore in a fresh subprocess (default --scale "
-        "xlarge), gated on the committed BENCH_memory.json budget",
-    )
-    bench.add_argument(
-        "--generations",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bench --memory: truncate the workload to N backups (the "
-        "nightly smoke's knob; the gate still applies)",
     )
     chaos = parser.add_argument_group("chaos options")
     chaos.add_argument(
@@ -403,153 +373,9 @@ def _run_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    """``python -m repro bench``: time the ingest and restore paths;
-    exit non-zero if either regressed more than 2x against its committed
-    baseline."""
-    import json
-
-    from repro.bench import (
-        check_chunking_regression,
-        check_regression,
-        check_restore_regression,
-        check_shard_regression,
-        drift_summary,
-        history_record,
-        load_baseline,
-        load_chunking_baseline,
-        load_history,
-        load_restore_baseline,
-        load_shard_baseline,
-        reference_summary,
-        run_bench,
-        run_chunking_bench,
-        run_restore_bench,
-        run_shard_bench,
-    )
-
-    if args.memory:
-        return _run_memory_bench(args)
-    repeats = 1 if args.quick else 3
-    result = run_bench(repeats=repeats, jobs=args.jobs if args.jobs > 1 else None)
-    print(json.dumps(result, indent=2))
-    restore_result = run_restore_bench(repeats=repeats, faa=not args.quick)
-    print(json.dumps(restore_result, indent=2))
-    chunking_result = run_chunking_bench(repeats=repeats)
-    print(json.dumps(chunking_result, indent=2))
-    shard_result = run_shard_bench(repeats=repeats)
-    print(json.dumps(shard_result, indent=2))
-    if args.no_baseline:
-        return 0
-    exit_code = 0
-    baseline = load_baseline()
-    if baseline is None:
-        print("no committed BENCH_ingest.json found; skipping regression gate")
-    else:
-        failure = check_regression(result, baseline)
-        if failure is not None:
-            print(f"FAIL: {failure}")
-            exit_code = 1
-        else:
-            base = baseline.get("ingest", baseline).get("batch_seconds")
-            print(f"OK: ingest within 2x of committed baseline ({base}s)")
-            print(reference_summary(baseline))
-    restore_baseline = load_restore_baseline()
-    if restore_baseline is None:
-        print("no committed BENCH_restore.json found; skipping restore gate")
-    else:
-        failure = check_restore_regression(restore_result, restore_baseline)
-        if failure is not None:
-            print(f"FAIL: {failure}")
-            exit_code = 1
-        else:
-            base = restore_baseline.get("restore", restore_baseline).get(
-                "restore_seconds"
-            )
-            print(f"OK: restore within 2x of committed baseline ({base}s)")
-    chunking_baseline = load_chunking_baseline()
-    if chunking_baseline is None:
-        print("no committed BENCH_chunking.json found; skipping chunking gate")
-    else:
-        failure = check_chunking_regression(chunking_result, chunking_baseline)
-        if failure is not None:
-            print(f"FAIL: {failure}")
-            exit_code = 1
-        else:
-            rec = chunking_baseline.get("chunking", chunking_baseline)
-            print(
-                "OK: chunking within 2x of committed baseline "
-                f"({rec.get('seqcdc_seconds')}s) and >=5x the committed "
-                f"exact-sweep rate ({rec.get('exact_mb_per_s')} MB/s)"
-            )
-    shard_baseline = load_shard_baseline()
-    if shard_baseline is None:
-        print("no committed BENCH_shard.json found; skipping shard gate")
-    else:
-        failure = check_shard_regression(shard_result, shard_baseline)
-        if failure is not None:
-            print(f"FAIL: {failure}")
-            exit_code = 1
-        else:
-            rec = shard_baseline.get("shard", shard_baseline)
-            print(
-                "OK: 1-shard wrapper byte-identical, routed lookups "
-                f"within 2x of committed baseline "
-                f"({rec.get('lookup_seconds')}s) and above the "
-                f"{rec.get('lookup_floor_per_s')}/s floor"
-            )
-    history = load_history()
-    if history:
-        current = history_record(
-            ingest=result, restore=restore_result, chunking=chunking_result
-        )
-        for line in drift_summary(current, history):
-            print(f"drift: {line}")
-    return exit_code
-
-
-def _run_memory_bench(args: argparse.Namespace) -> int:
-    """``python -m repro bench --memory``: the bounded-RSS gate.
-
-    Runs the out-of-core probe in a fresh subprocess (so ``ru_maxrss``
-    measures this workload alone) at ``--scale`` (default: xlarge, the
-    scale the committed budget was measured at) and fails if peak RSS
-    exceeds the BENCH_memory.json budget."""
-    import json
-
-    from repro.bench import run_memory_bench
-    from repro.memory import check_memory_gate, load_memory_budget
-
-    scale = args.scale if args.scale != "default" else "xlarge"
-    resident = (
-        args.resident_containers if args.resident_containers is not None else 64
-    )
-    record = run_memory_bench(
-        scale=scale,
-        generations=args.generations,
-        resident_containers=resident,
-    )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.no_baseline:
-        return 0
-    baseline = load_memory_budget()
-    if baseline is None:
-        print("no committed BENCH_memory.json found; skipping memory gate")
-        return 0
-    failure = check_memory_gate(record, baseline)
-    if failure is not None:
-        print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"OK: peak RSS {record['peak_rss_mb']:.1f} MB within the committed "
-        f"budget ({baseline['budget_rss_mb']:.1f} MB)"
-    )
-    return 0
-
-
 def _run_dash(args: argparse.Namespace) -> int:
     """``python -m repro dash``: render the standalone HTML dashboard
-    from trace snapshots + committed bench baselines + bench history."""
+    from the engine registry and trace snapshots."""
     from repro.obs.dash import build_dashboard
 
     stats = args.stats
@@ -643,8 +469,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_logging(args)
-    if args.experiment == "bench":
-        return _run_bench(args)
     if args.experiment == "trace":
         return _run_trace(args, parser)
     if args.experiment == "stats":

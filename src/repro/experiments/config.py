@@ -125,8 +125,8 @@ class ExperimentConfig:
     #: recorded figures' substrate); a :class:`~repro.sharding.config
     #: .ShardConfig` routes it through ``repro.sharding`` — with
     #: ``n_shards=1`` the wrapper drives one identically-sized shard
-    #: verbatim, byte-identical to ``None`` on every experiment (the
-    #: bench gate pins this)
+    #: verbatim, byte-identical to ``None`` on every experiment (pinned by
+    #: ``tests/properties/test_shard_equivalence.py``)
     shard: Optional[ShardConfig] = None
     #: inline fingerprint-cache budget (chunks) shared by all tenants in
     #: the ``tenants`` experiment — the HPDedup contention point; sized
@@ -188,7 +188,7 @@ class ExperimentConfig:
     def xlarge(cls) -> "ExperimentConfig":
         """Out-of-core scale: ≥10 GB simulated across multiple users and
         ≥20 generations. Only runnable in bounded RSS with the spill
-        store (``repro bench --memory`` / ``python -m repro.memory``);
+        store (``python -m repro.memory``);
         cache *ratios* match the recorded scales so locality effects
         survive the scale-up."""
         return cls(

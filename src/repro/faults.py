@@ -23,8 +23,8 @@ crashes mid-GC. This module supplies the failure half of that story:
 
 The layer is strictly opt-in: plain :class:`DiskModel` runs carry no
 injector, the store/index bind their raw disk methods, and no charge or
-branch is added to the default path (the ``repro all`` byte-identity and
-bench gates enforce this).
+branch is added to the default path (the ``repro all`` byte-identity
+smoke enforces this).
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ finished recipes append to a :class:`~repro.storage.recipe_log
 keeps its base array in a memory-mapped file, and restore loads one
 recipe back at a time. The process's peak RSS is the headline number;
 ``BENCH_memory.json`` commits the budget it must stay under and
-``repro bench --memory`` (and the nightly workflow) enforce it.
+``--gate`` (run by the nightly workflow) enforces it.
 
-The driver is meant to run in a *fresh* subprocess so ``ru_maxrss``
-reflects this workload and nothing else — that is why the bench
-harness shells out to ``python -m repro.memory`` rather than calling
-:func:`run_memory_probe` in-process.
+The probe is meant to run as its own process so ``ru_maxrss``
+reflects this workload and nothing else — that is why the gate is
+``python -m repro.memory --gate`` rather than a call to
+:func:`run_memory_probe` from a process that has already allocated
+other things.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def run_memory_probe(
 
 
 def load_memory_budget(path: str = "BENCH_memory.json") -> Optional[Dict]:
-    """The committed memory-bench baseline, or None if absent."""
+    """The committed memory budget, or None if absent."""
     p = Path(path)
     if not p.is_file():
         return None

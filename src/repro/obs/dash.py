@@ -1,17 +1,12 @@
-"""Static HTML perf dashboard: trajectories, baselines, telemetry.
+"""Static HTML dashboard: the engine registry plus trace telemetry.
 
 ``repro dash`` renders one self-contained HTML file — inline CSS and
-inline SVG only, no scripts, no external fetches — from three kinds of
-artifact found on disk:
-
-* metrics snapshots saved by ``repro trace`` (``.repro_stats.json`` or
-  any ``--stats PATH``), whose time-series sections become sparkline
-  grids (the paper's trajectories over *simulated* time);
-* the committed ``BENCH_*.json`` baselines, which become stat tiles
-  (the numbers ``repro bench`` gates against); and
-* ``BENCH_history.jsonl``, the append-only perf trajectory grown by
-  ``benchmarks/record.py --append-history``, plotted as one small
-  line chart per headline metric over *wall-clock recording order*.
+inline SVG only, no scripts, no external fetches — from the live engine
+registry and the metrics snapshots saved by ``repro trace``
+(``.repro_stats.json`` or any ``--stats PATH``), whose time-series
+sections become sparkline grids (the paper's trajectories over
+*simulated* time). Wall-clock speed is perfbench's job, not the
+dashboard's.
 
 The stylesheet carries both light and dark values via CSS custom
 properties: the ``prefers-color-scheme`` media query switches on the OS
@@ -26,16 +21,7 @@ from __future__ import annotations
 import html
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-from repro.bench import (
-    BASELINE_FILENAME,
-    CHUNKING_BASELINE_FILENAME,
-    HISTORY_FILENAME,
-    HISTORY_METRICS,
-    RESTORE_BASELINE_FILENAME,
-    load_history,
-)
+from typing import Dict, List, Sequence, Union
 
 __all__ = ["build_dashboard", "render_dashboard"]
 
@@ -47,7 +33,6 @@ _CSS = """
   --ink-1: #0b0b0b; --ink-2: #52514e; --ink-muted: #898781;
   --grid: #e1e0d9; --axis: #c3c2b7;
   --series-1: #2a78d6; --series-dim: #86b6ef;
-  --good: #006300; --bad: #d03b3b;
   --ring: rgba(11,11,11,0.10);
 }
 @media (prefers-color-scheme: dark) {
@@ -56,7 +41,6 @@ _CSS = """
     --ink-1: #ffffff; --ink-2: #c3c2b7; --ink-muted: #898781;
     --grid: #2c2c2a; --axis: #383835;
     --series-1: #3987e5; --series-dim: #1c5cab;
-    --good: #0ca30c; --bad: #e66767;
     --ring: rgba(255,255,255,0.10);
   }
 }
@@ -65,7 +49,6 @@ _CSS = """
   --ink-1: #ffffff; --ink-2: #c3c2b7; --ink-muted: #898781;
   --grid: #2c2c2a; --axis: #383835;
   --series-1: #3987e5; --series-dim: #1c5cab;
-  --good: #0ca30c; --bad: #e66767;
   --ring: rgba(255,255,255,0.10);
 }
 * { box-sizing: border-box; }
@@ -75,7 +58,6 @@ body {
 }
 h1 { font-size: 20px; font-weight: 600; margin: 0 0 4px; }
 h2 { font-size: 15px; font-weight: 600; margin: 28px 0 10px; }
-h3 { font-size: 13px; font-weight: 600; margin: 16px 0 8px; color: var(--ink-2); }
 .sub { color: var(--ink-2); margin: 0 0 16px; }
 .chips { margin: 8px 0 0; }
 .chip {
@@ -83,17 +65,6 @@ h3 { font-size: 13px; font-weight: 600; margin: 16px 0 8px; color: var(--ink-2);
   border: 1px solid var(--ring); border-radius: 10px;
   color: var(--ink-2); font-size: 12px; background: var(--surface-1);
 }
-.tiles { display: flex; flex-wrap: wrap; gap: 12px; }
-.tile {
-  background: var(--surface-1); border: 1px solid var(--ring);
-  border-radius: 8px; padding: 12px 16px; min-width: 180px;
-}
-.tile .label { color: var(--ink-2); font-size: 12px; }
-.tile .value { font-size: 26px; font-weight: 600; margin: 2px 0; }
-.tile .delta { font-size: 12px; }
-.delta.good { color: var(--good); }
-.delta.bad { color: var(--bad); }
-.delta.flat { color: var(--ink-muted); }
 .cards { display: flex; flex-wrap: wrap; gap: 12px; }
 .card {
   background: var(--surface-1); border: 1px solid var(--ring);
@@ -101,7 +72,6 @@ h3 { font-size: 13px; font-weight: 600; margin: 16px 0 8px; color: var(--ink-2);
 }
 .card .name { color: var(--ink-2); font-size: 12px; margin-bottom: 2px; }
 .card .last { color: var(--ink-1); font-weight: 600; font-size: 13px; }
-svg text { fill: var(--ink-muted); font-size: 10px; }
 table { border-collapse: collapse; background: var(--surface-1);
   border: 1px solid var(--ring); border-radius: 8px; }
 th, td { padding: 4px 10px; text-align: right;
@@ -113,20 +83,15 @@ footer { margin-top: 28px; color: var(--ink-muted); font-size: 12px; }
 
 
 def build_dashboard(
-    out: Union[str, Path],
-    stats_paths: Sequence[Union[str, Path]] = (),
-    root: Union[str, Path] = ".",
+    out: Union[str, Path], stats_paths: Sequence[Union[str, Path]] = ()
 ) -> Path:
-    """Assemble the dashboard from artifacts under ``root`` and write it.
+    """Assemble the dashboard from trace snapshots and write it.
 
     Args:
         out: output HTML path.
         stats_paths: ``repro trace`` snapshot files to include (missing
-            ones are skipped with a note).
-        root: directory holding the committed ``BENCH_*.json`` baselines
-            and ``BENCH_history.jsonl``.
+            or malformed ones are skipped).
     """
-    rootp = Path(root)
     runs: List[Dict] = []
     for p in stats_paths:
         p = Path(p)
@@ -143,41 +108,19 @@ def build_dashboard(
                 "metrics": data.get("metrics", data),
             }
         )
-    bench = {}
-    for key, fname in (
-        ("ingest", BASELINE_FILENAME),
-        ("restore", RESTORE_BASELINE_FILENAME),
-        ("chunking", CHUNKING_BASELINE_FILENAME),
-    ):
-        f = rootp / fname
-        if f.is_file():
-            try:
-                bench[key] = json.loads(f.read_text())
-            except json.JSONDecodeError:
-                pass
-    history = load_history(rootp / HISTORY_FILENAME)
-    text = render_dashboard(runs=runs, bench=bench, history=history)
     outp = Path(out)
-    outp.write_text(text)
+    outp.write_text(render_dashboard(runs=runs))
     return outp
 
 
-def render_dashboard(
-    runs: Sequence[Dict] = (),
-    bench: Optional[Dict] = None,
-    history: Sequence[Dict] = (),
-) -> str:
-    """Render the HTML document from already-loaded artifacts."""
-    bench = bench or {}
+def render_dashboard(runs: Sequence[Dict] = ()) -> str:
+    """Render the HTML document from already-loaded snapshots."""
     body: List[str] = [
-        "<h1>defrag-repro performance dashboard</h1>",
-        '<p class="sub">Simulated-time telemetry from <code>repro trace</code>, '
-        "wall-clock baselines from the committed <code>BENCH_*.json</code>, "
-        "and the recorded perf trajectory.</p>",
+        "<h1>defrag-repro dashboard</h1>",
+        '<p class="sub">The engine registry and simulated-time telemetry '
+        "from <code>repro trace</code>.</p>",
     ]
-    body += _tiles_section(bench, list(history))
     body += _engines_section()
-    body += _history_section(list(history))
     for run in runs:
         body += _run_section(run)
     if not runs:
@@ -203,49 +146,6 @@ def render_dashboard(
 # -- sections ---------------------------------------------------------------
 
 
-def _tiles_section(bench: Dict, history: List[Dict]) -> List[str]:
-    """Stat tiles: the committed headline numbers, each with a delta and
-    a trend sparkline against the recorded history."""
-    tiles: List[str] = []
-    specs = (
-        ("ingest", "ingest", "batch_seconds", "ingest_batch_seconds"),
-        ("restore", "restore", "restore_seconds", "restore_seconds"),
-        ("chunking", "chunking", "seqcdc_mb_per_s", "chunking_mb_per_s"),
-    )
-    for bench_key, inner, field, hist_key in specs:
-        record = bench.get(bench_key, {}).get(inner, {})
-        value = record.get(field)
-        if value is None:
-            continue
-        label, unit, lower_is_better = HISTORY_METRICS[hist_key]
-        series = [r[hist_key] for r in history if r.get(hist_key) is not None]
-        delta_html = ""
-        prior = [v for v in series if v != value]
-        if prior:
-            rel = (value - prior[-1]) / prior[-1]
-            if abs(rel) <= 0.02:
-                cls, arrow = "flat", "&#8594;"
-            elif (rel < 0) == lower_is_better:
-                cls, arrow = "good", "&#8595;" if rel < 0 else "&#8593;"
-            else:
-                cls, arrow = "bad", "&#8593;" if rel > 0 else "&#8595;"
-            delta_html = (
-                f'<div class="delta {cls}">{arrow} {rel:+.1%} '
-                "vs last recorded</div>"
-            )
-        trend = _sparkline(series[-12:], w=120, h=28) if len(series) >= 2 else ""
-        tiles.append(
-            '<div class="tile">'
-            f'<div class="label">{html.escape(label)} (committed)</div>'
-            f'<div class="value">{value:g}<span style="font-size:13px;'
-            f'color:var(--ink-2)"> {unit}</span></div>'
-            f"{delta_html}{trend}</div>"
-        )
-    if not tiles:
-        return []
-    return ["<h2>Committed baselines</h2>", '<div class="tiles">'] + tiles + ["</div>"]
-
-
 def _engines_section() -> List[str]:
     """Engine registry table: every registered placement policy with its
     lifecycle capabilities, read live from ``repro.api.engine_infos``."""
@@ -269,47 +169,6 @@ def _engines_section() -> List[str]:
         *rows,
         "</tbody></table>",
     ]
-
-
-def _history_section(history: List[Dict]) -> List[str]:
-    """The perf trajectory: one small line chart per headline metric,
-    x = recording order, plus the full table."""
-    if not history:
-        return []
-    out: List[str] = [
-        "<h2>Perf trajectory (BENCH_history.jsonl)</h2>",
-        '<div class="cards">',
-    ]
-    for key, (label, unit, _lower) in HISTORY_METRICS.items():
-        pts = [
-            (i, r[key], r.get("commit") or r.get("recorded_utc") or f"run {i}")
-            for i, r in enumerate(history)
-            if r.get(key) is not None
-        ]
-        if not pts:
-            continue
-        out.append(
-            '<div class="card">'
-            f'<div class="name">{html.escape(label)} ({unit})</div>'
-            + _line_chart([v for _, v, _ in pts], [t for _, _, t in pts])
-            + f'<div class="last">{pts[-1][1]:g} {unit} @ '
-            f"{html.escape(str(pts[-1][2]))}</div></div>"
-        )
-    out.append("</div>")
-    # table view: every recorded line, no chart required to read it
-    cols = [k for k in HISTORY_METRICS if any(r.get(k) is not None for r in history)]
-    out += ["<h3>Recorded runs</h3>", "<table>", "<tr><th>run</th>"]
-    out += [f"<th>{html.escape(HISTORY_METRICS[c][0])}</th>" for c in cols]
-    out.append("</tr>")
-    for i, r in enumerate(history):
-        who = r.get("commit") or r.get("recorded_utc") or str(i)
-        cells = "".join(
-            f"<td>{r[c]:g}</td>" if r.get(c) is not None else "<td>-</td>"
-            for c in cols
-        )
-        out.append(f"<tr><td>{html.escape(str(who))}</td>{cells}</tr>")
-    out.append("</table>")
-    return out
 
 
 def _run_section(run: Dict) -> List[str]:
@@ -341,7 +200,7 @@ def _run_section(run: Dict) -> List[str]:
         out.append(
             '<div class="card">'
             f'<div class="name">{html.escape(name)}</div>'
-            + _sparkline(values, w=180, h=36)
+            + _sparkline(values)
             + f'<div class="last">last {values[-1]:g} &middot; '
             f"min {min(values):g} &middot; max {max(values):g}</div></div>"
         )
@@ -352,23 +211,17 @@ def _run_section(run: Dict) -> List[str]:
 # -- inline SVG marks -------------------------------------------------------
 
 
-def _scale(values: Sequence[float], w: int, h: int, pad: int) -> List[Tuple[float, float]]:
+def _sparkline(values: Sequence[float], w: int = 180, h: int = 36) -> str:
+    """A 2px de-emphasized line with the current value accented. Values
+    only; the card's text carries the last/min/max numbers."""
+    pad = 4
     lo, hi = min(values), max(values)
     span = (hi - lo) or 1.0
-    n = len(values)
-    step = (w - 2 * pad) / max(n - 1, 1)
-    return [
+    step = (w - 2 * pad) / max(len(values) - 1, 1)
+    pts = [
         (pad + i * step, h - pad - (v - lo) / span * (h - 2 * pad))
         for i, v in enumerate(values)
     ]
-
-
-def _sparkline(values: Sequence[float], w: int = 120, h: int = 28) -> str:
-    """A 2px de-emphasized line with the current value accented — the
-    stat-tile trend mark. Values only; axes live in the table view."""
-    if len(values) < 2:
-        return ""
-    pts = _scale(values, w, h, pad=4)
     path = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
     cx, cy = pts[-1]
     return (
@@ -378,43 +231,5 @@ def _sparkline(values: Sequence[float], w: int = 120, h: int = 28) -> str:
         'stroke-width="2" stroke-linecap="round" stroke-linejoin="round"/>'
         f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="4" fill="var(--series-1)" '
         'stroke="var(--surface-1)" stroke-width="2"/>'
-        "</svg>"
-    )
-
-
-def _line_chart(
-    values: Sequence[float], labels: Sequence[str], w: int = 260, h: int = 96
-) -> str:
-    """A single-series line chart (one hue, no legend): hairline grid,
-    2px line, >=8px end marker with a surface ring, min/max tick text.
-    Each point carries a <title> so hovering reveals run + value."""
-    pad = 10
-    if len(values) == 1:
-        values = list(values) * 2
-        labels = list(labels) * 2
-    pts = _scale(values, w, h, pad)
-    path = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
-    lo, hi = min(values), max(values)
-    grid_y = (pad, h / 2, h - pad)
-    grid = "".join(
-        f'<line x1="{pad}" y1="{y:.1f}" x2="{w - pad}" y2="{y:.1f}" '
-        'stroke="var(--grid)" stroke-width="1"/>'
-        for y in grid_y
-    )
-    dots = "".join(
-        f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="var(--series-1)" '
-        'stroke="var(--surface-1)" stroke-width="2">'
-        f"<title>{html.escape(str(label))}: {value:g}</title></circle>"
-        for (x, y), value, label in zip(pts, values, labels)
-    )
-    return (
-        f'<svg width="{w}" height="{h}" viewBox="0 0 {w} {h}" role="img" '
-        f'aria-label="trajectory of {len(values)} recorded runs">'
-        f"{grid}"
-        f'<polyline points="{path}" fill="none" stroke="var(--series-1)" '
-        'stroke-width="2" stroke-linecap="round" stroke-linejoin="round"/>'
-        f"{dots}"
-        f'<text x="{w - pad}" y="{pad - 2}" text-anchor="end">{hi:g}</text>'
-        f'<text x="{w - pad}" y="{h - 1}" text-anchor="end">{lo:g}</text>'
         "</svg>"
     )

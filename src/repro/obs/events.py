@@ -4,7 +4,7 @@ Events are flat dicts with a ``type`` key. The hot paths are guarded by
 the sink's ``enabled`` flag (and by ``Observability.enabled`` above it),
 so a disabled run never builds an event dict, never serializes, and
 never touches the filesystem — the zero-overhead-when-disabled
-invariant the bench gate enforces.
+invariant.
 
 Event vocabulary emitted by the engines (see DESIGN.md):
 

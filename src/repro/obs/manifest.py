@@ -1,10 +1,9 @@
 """Run-provenance manifest: which run produced this artifact?
 
 Every telemetry artifact — a JSONL event stream, an obs snapshot, a
-bench record, a report, a dashboard — outlives the process that made it,
-and a perf-trajectory history file (``BENCH_history.jsonl``) deliberately
-accumulates records from *many* runs. A :class:`RunManifest` stamps each
-artifact with enough identity to trace it back: the config fingerprint
+report, a dashboard — outlives the process that made it. A
+:class:`RunManifest` stamps each artifact with enough identity to
+trace it back: the config fingerprint
 (same digest the parallel grid keys cells by), the engine(s) involved,
 the workload seed, the git commit of the checkout, the package version,
 and both clocks (wall-clock creation time, simulated seconds covered).
@@ -12,9 +11,8 @@ and both clocks (wall-clock creation time, simulated seconds covered).
 Two serializations, one rule:
 
 * :meth:`RunManifest.as_dict` — the full record, **including** the
-  wall-clock timestamp. For append-only artifacts (bench records,
-  history lines, JSONL event streams) where "when was this measured"
-  is the point.
+  wall-clock timestamp. For artifacts where "when was this measured"
+  is the point (trace snapshots, JSONL event streams).
 * :meth:`RunManifest.deterministic_dict` — everything except wall-clock
   fields. For artifacts under the byte-identity contract (reports,
   ``repro all`` comparisons): two runs of the same checkout and config

@@ -1,4 +1,4 @@
-"""Process peak-RSS measurement (the memory bench's one real number).
+"""Process peak-RSS measurement (the memory probe's one real number).
 
 Everything else ``repro.obs`` records lives on the simulated clock;
 peak RSS is deliberately a *machine* measurement — it is what the

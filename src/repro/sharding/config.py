@@ -14,7 +14,7 @@ class ShardConfig:
         n_shards: shard count. 1 is the degenerate case: a single
             wrapped :class:`~repro.index.full_index.DiskChunkIndex`
             driven verbatim, byte-identical to the unsharded substrate
-            (the bench gate pins this).
+            (the shard property suite pins this).
         vnodes: virtual nodes per shard on the consistent-hash ring.
             More vnodes flatten the key-space imbalance between shards;
             the default keeps the max/mean shard fill under ~1.15 at 8

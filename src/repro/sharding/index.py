@@ -13,8 +13,9 @@ Contract highlights:
 * **1-shard degeneracy** — with one shard every call is delegated
   verbatim to a single ``DiskChunkIndex`` built with identical
   parameters, so results (clock, stats, goldens) are byte-identical to
-  the unsharded substrate. The bench gate (``BENCH_shard.json``) and the
-  property suite pin this.
+  the unsharded substrate. The property suite
+  (``tests/properties/test_shard_equivalence.py``) and the CI shard
+  twin-run smoke pin this.
 * **answer equivalence at N shards** — dedup *decisions* depend only on
   the fingerprint → location map, which sharding partitions without
   loss; recipes, store contents, and dedup ratios are identical for any

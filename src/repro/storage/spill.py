@@ -12,7 +12,7 @@ Two backends implement the same four-call protocol
 
 * :class:`DirectorySpill` — one file per container under a spill
   directory: the real out-of-core store (used by ``--spill-dir`` and
-  the memory bench).
+  the memory probe).
 * :class:`MemorySpill` — a dict of the same encoded blobs: the tmpfs
   shim tests and the chaos sweep use, so the full
   serialize/evict/fault-back cycle is exercised without touching the

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import chunking_fixture
+from repro._util import rng_from
 from repro.chunking import gear
 from repro.chunking.gear import GearChunker
 from repro.chunking.select import select_cuts
@@ -31,6 +31,12 @@ MASK_BITS = (8, 13, 16, 17)
 
 def random_bytes(n: int, seed: int = 0) -> bytes:
     return bytes(np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8))
+
+
+def chunking_fixture(nbytes: int, seed: int = 2012) -> bytes:
+    """The seeded random buffer the chunking measurements used."""
+    rng = rng_from(seed, "bench-chunking")
+    return rng.integers(0, 256, size=int(nbytes), dtype="uint8").tobytes()
 
 
 def assert_matches_oracle(chunker: GearChunker, data: bytes) -> None:
@@ -124,7 +130,7 @@ class TestBlockSeams:
             assert_matches_oracle(chunker, data)
 
     def test_chunking_fixture_slice(self):
-        """The bench buffer's first MiB cuts exactly where the oracle
+        """The seeded fixture's first MiB cuts exactly where the oracle
         does at the default 8 KiB average (four full blocks)."""
         data = chunking_fixture(1024 * 1024)
         chunker = GearChunker()

@@ -77,6 +77,8 @@ class TestExtensions:
             assert 0 < values[1] <= 1.0  # efficiency
             assert values[2] > 1.0  # compression
             assert values[3] > 0  # restore MB/s
+        # selective dedup must restore at least as fast as plain DDFS
+        assert res.series["DeFrag"][3] >= res.series["DDFS-Like"][3] * 0.9
 
     def test_gc_study_reclaims(self):
         cfg = ExperimentConfig.small()

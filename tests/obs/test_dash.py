@@ -1,9 +1,7 @@
-"""Dashboard rendering: standalone HTML from runs, baselines, history."""
+"""Dashboard rendering: standalone HTML from the engine registry and runs."""
 
 import json
 from html.parser import HTMLParser
-
-import pytest
 
 from repro.obs.dash import build_dashboard, render_dashboard
 
@@ -41,23 +39,6 @@ def assert_valid_standalone_html(text):
     assert not checker.stack, f"unclosed tags: {checker.stack}"
 
 
-def _history():
-    return [
-        {"commit": "aaa", "ingest_batch_seconds": 0.30,
-         "restore_seconds": 0.030, "chunking_mb_per_s": 50.0},
-        {"commit": "bbb", "ingest_batch_seconds": 0.20,
-         "restore_seconds": 0.025, "chunking_mb_per_s": 60.0},
-    ]
-
-
-def _bench():
-    return {
-        "ingest": {"ingest": {"batch_seconds": 0.20}},
-        "restore": {"restore": {"restore_seconds": 0.025}},
-        "chunking": {"chunking": {"seqcdc_mb_per_s": 60.0}},
-    }
-
-
 def _run():
     return {
         "path": "stats.json",
@@ -78,20 +59,9 @@ class TestRender:
         assert_valid_standalone_html(render_dashboard())
 
     def test_full_inputs_valid(self):
-        text = render_dashboard(runs=[_run()], bench=_bench(), history=_history())
+        text = render_dashboard(runs=[_run()])
         assert_valid_standalone_html(text)
-
-    def test_baseline_tiles(self):
-        text = render_dashboard(bench=_bench(), history=_history())
-        assert "Committed baselines" in text
-        assert "ingest (batch)" in text
-        assert "chunking" in text
-
-    def test_history_charts_and_table(self):
-        text = render_dashboard(history=_history())
-        assert "Perf trajectory" in text
-        assert "<svg" in text and "polyline" in text
-        assert "aaa" in text and "bbb" in text
+        assert "Engine registry" in text
 
     def test_run_section_sparklines_and_chips(self):
         text = render_dashboard(runs=[_run()])
@@ -109,7 +79,7 @@ class TestRender:
 
     def test_single_series_no_legend(self):
         # every chart is single-series: the title names it, no legend box
-        text = render_dashboard(runs=[_run()], bench=_bench(), history=_history())
+        text = render_dashboard(runs=[_run()])
         assert "legend" not in text.lower()
 
     def test_light_and_dark_tokens_present(self):
@@ -124,53 +94,29 @@ class TestBuild:
         stats.write_text(json.dumps(
             {"manifest": _run()["manifest"], "metrics": _run()["metrics"]}
         ))
-        (tmp_path / "BENCH_ingest.json").write_text(json.dumps(_bench()["ingest"]))
-        (tmp_path / "BENCH_history.jsonl").write_text(
-            "\n".join(json.dumps(r) for r in _history()) + "\n"
-        )
-        out = build_dashboard(
-            tmp_path / "dash.html", stats_paths=[stats], root=tmp_path
-        )
+        out = build_dashboard(tmp_path / "dash.html", stats_paths=[stats])
         text = out.read_text()
         assert_valid_standalone_html(text)
         assert "Run: fig4" in text
-        assert "Perf trajectory" in text
 
     def test_missing_artifacts_tolerated(self, tmp_path):
         out = build_dashboard(
             tmp_path / "dash.html",
             stats_paths=[tmp_path / "nope.json"],
-            root=tmp_path,
         )
         assert_valid_standalone_html(out.read_text())
 
     def test_malformed_snapshot_skipped(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        out = build_dashboard(tmp_path / "dash.html", stats_paths=[bad], root=tmp_path)
+        out = build_dashboard(tmp_path / "dash.html", stats_paths=[bad])
         assert_valid_standalone_html(out.read_text())
 
     def test_bare_snapshot_without_manifest(self, tmp_path):
         # pre-PR7 stats files are a bare registry snapshot
         stats = tmp_path / "old.json"
         stats.write_text(json.dumps(_run()["metrics"]))
-        out = build_dashboard(tmp_path / "dash.html", stats_paths=[stats], root=tmp_path)
+        out = build_dashboard(tmp_path / "dash.html", stats_paths=[stats])
         text = out.read_text()
         assert_valid_standalone_html(text)
         assert "DeFrag.ts.cache_hit_ratio" in text
-
-
-class TestAgainstCommittedBaselines:
-    """The acceptance criterion: a dashboard built from the repo's own
-    committed BENCH_*.json + BENCH_history.jsonl is valid."""
-
-    def test_repo_root_artifacts(self, tmp_path):
-        import repro
-
-        root = __import__("pathlib").Path(repro.__file__).resolve().parents[2]
-        if not (root / "BENCH_ingest.json").is_file():
-            pytest.skip("committed baselines not present")
-        out = build_dashboard(tmp_path / "dash.html", root=root)
-        text = out.read_text()
-        assert_valid_standalone_html(text)
-        assert "Committed baselines" in text

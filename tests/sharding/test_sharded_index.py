@@ -4,8 +4,12 @@ Pins the three contract planks of ``repro.sharding.index``: 1-shard
 byte-identity (answers, stats, simulated clock), N-shard answer
 equivalence, and the single live stats object all shards share. Plus
 the mechanics: the routed ``_map`` view, ensemble ``page_of``/
-``n_pages``, and the journaled flush/crash/load_recovered cycle.
+``n_pages``, and the journaled flush/crash/load_recovered cycle. And
+one wall-clock floor on routed ``lookup_many``, since no benchmark
+workload runs a multi-shard index.
 """
+
+import time
 
 import numpy as np
 
@@ -139,3 +143,41 @@ class TestCrashCycle:
         for fp in rebuilt:
             owner = index.router.shard_of(fp)
             assert fp in index.shards[owner]._map
+
+
+class TestRoutedThroughput:
+    #: routed lookup_many resolutions per wall-clock second: an absolute
+    #: floor, an order of magnitude under what a 2-vCPU machine measures,
+    #: that a per-fingerprint Python routing loop would fall through
+    FLOOR_PER_S = 50_000.0
+
+    def test_four_shard_lookup_many_clears_the_floor(self):
+        n_entries, batch = 50_000, 4096
+        index = make_sharded(4, expected_entries=n_entries)
+        rng = np.random.default_rng(2012)
+        load = [int(x) for x in rng.integers(1, 1 << 60, size=n_entries)]
+        for i in range(0, n_entries, batch):
+            chunk = load[i : i + batch]
+            index.insert_many(
+                chunk, [ChunkLocation(0, j) for j in range(len(chunk))]
+            )
+        index.flush()
+        # half hits, half misses
+        probes = load[: n_entries // 2] + [
+            int(x) for x in rng.integers(1 << 61, 1 << 62, size=n_entries // 2)
+        ]
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            hits = 0
+            for i in range(0, len(probes), batch):
+                for loc in index.lookup_many(probes[i : i + batch]):
+                    if loc is not None:
+                        hits += 1
+            best = min(best, time.perf_counter() - t0)
+            assert hits == n_entries // 2
+        rate = len(probes) / best
+        assert rate >= self.FLOOR_PER_S, (
+            f"routed lookup throughput {rate:.0f}/s is below the "
+            f"{self.FLOOR_PER_S:.0f}/s floor"
+        )

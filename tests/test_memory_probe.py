@@ -1,7 +1,7 @@
 """In-process checks of the bounded-RSS memory driver at toy scale.
 
-The real measurement runs ``python -m repro.memory`` in a fresh
-subprocess (see ``repro.bench.run_memory_bench``); these tests drive
+The real measurement runs ``python -m repro.memory`` as its own
+process (the nightly workflow's xlarge gate); these tests drive
 the same pipeline in-process at small scale to pin down the record
 shape, the gate logic, and that spilling is genuinely exercised.
 """
