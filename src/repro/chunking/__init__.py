@@ -24,7 +24,6 @@ from repro.chunking.gear import ChunkScanStats, GearChunker
 from repro.chunking.select import select_cuts
 from repro.chunking.fingerprint import (
     fingerprint64,
-    fingerprint64_fast,
     fingerprint_segments,
     fingerprint_segments_fast,
     splitmix64,
@@ -40,7 +39,6 @@ __all__ = [
     "GearChunker",
     "select_cuts",
     "fingerprint64",
-    "fingerprint64_fast",
     "fingerprint_segments",
     "fingerprint_segments_fast",
     "splitmix64",

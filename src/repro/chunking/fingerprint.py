@@ -8,14 +8,22 @@ Real systems use SHA-1; for simulation we use 64-bit fingerprints:
   splitmix64 is a bijection on 64-bit ints, so distinct counters can
   never collide while still looking uniformly random to the index
   structures (bloom filters, hash tables) that consume them;
-* batch byte-level path: :func:`fingerprint_segments_fast` — a
-  vectorized position-mixed word fold (splitmix64 family). The per-byte
-  Python cost of BLAKE2b slicing dominates high-throughput ingest, so
-  the byte-level workload path uses this fold instead: every 8-byte
-  word is mixed with its in-segment position, XOR-folded per segment
-  with one ``np.bitwise_xor.reduceat``, and finalized with the segment
-  length. Not BLAKE2b-compatible — a parallel fingerprint *family*
-  (collision odds are the same birthday bound either way).
+* batch byte-level path: :func:`fingerprint_segments_fast`, a word fold
+  in the splitmix64 family. Each chunk is zero-padded to 8-byte
+  little-endian words; word ``k`` is XORed with the key
+  ``splitmix64(k + 1)`` and mixed with splitmix64; the mixed words are
+  XOR-folded and the fold is finalized with the chunk length. Not
+  BLAKE2b-compatible: a parallel fingerprint *family* with the same
+  birthday bound, used because a C call per chunk dominates
+  high-throughput ingest.
+
+The batch fold works in place. One copy loop lays every chunk's bytes
+at its word-aligned offset in a zeroed buffer and the chunk's word keys
+beside them in a second buffer; the words are XORed with their keys and
+mixed in place, the key buffer serving as the mixer's scratch, and one
+``np.bitwise_xor.reduceat`` folds each chunk. Batches are kept small
+enough for both buffers to stay in cache. The scalar reference the fold
+must match bit for bit is ``tests/oracle/fold_oracle.py``.
 """
 
 from __future__ import annotations
@@ -71,27 +79,23 @@ def splitmix64_array(x: np.ndarray) -> np.ndarray:
         return x ^ (x >> _U64(31))
 
 
-def fingerprint64_fast(data: bytes) -> int:
-    """Scalar reference for the word-fold fingerprint family.
-
-    Zero-pad ``data`` to 8-byte little-endian words, mix each word with
-    its word index, XOR-fold, finalize with the byte length. The batch
-    implementation (:func:`fingerprint_segments_fast`) must match this
-    bit-for-bit.
-    """
-    length = len(data)
-    n_words = (length + 7) // 8
-    padded = data + b"\x00" * (8 * n_words - length)
-    acc = 0
-    for k in range(n_words):
-        word = int.from_bytes(padded[8 * k : 8 * k + 8], "little")
-        acc ^= splitmix64(word ^ splitmix64(k + 1))
-    return splitmix64(acc ^ splitmix64(length))
+def _splitmix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
+    """:func:`splitmix64_array` over ``x`` in place; ``scratch`` is a
+    uint64 array of the same size whose contents it overwrites."""
+    with np.errstate(over="ignore"):
+        x += _U64(0x9E3779B97F4A7C15)
+        for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            x ^= np.right_shift(x, _U64(shift), out=scratch)
+            x *= _U64(mul)
+        x ^= np.right_shift(x, _U64(31), out=scratch)
 
 
 #: default batch granularity for the vectorized fold: bounds temporaries
-#: independent of the input size
-_FAST_BATCH_BYTES = 32 * 1024 * 1024
+#: independent of the input size. Measured on a 2 MB buffer of ~9 KiB
+#: chunks (x86_64 Xeon, 2 vCPU, numpy 2.4): 256 KiB-1 MiB batches fold
+#: in 1.3-1.6 ms, 64 KiB batches in 2.3 ms (per-batch overhead) and one
+#: 32 MiB batch in 3.4 ms (out of cache)
+_FAST_BATCH_BYTES = 512 * 1024
 
 
 def fingerprint_segments_fast(
@@ -104,10 +108,10 @@ def fingerprint_segments_fast(
 
     Same contract as :func:`fingerprint_segments` (strictly increasing
     boundaries from 0 to ``len(data)``) but a different fingerprint
-    *family*: bit-identical to :func:`fingerprint64_fast` per segment,
-    not to BLAKE2b. Segments are processed in batches whose padded size
-    stays under ``batch_bytes``, so peak temporaries are bounded
-    regardless of input size.
+    *family*: bit-identical to the scalar reference per segment, not to
+    BLAKE2b. Segments are processed in batches whose padded size stays
+    under ``batch_bytes``, so peak temporaries are bounded regardless of
+    input size.
     """
     bounds = np.asarray(boundaries, dtype=np.int64)
     n_seg = bounds.size - 1
@@ -148,34 +152,34 @@ def _word_keys(n_words: int) -> np.ndarray:
 
 
 def _fold_batch(buf: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """One vectorized fold over the segments delimited by ``bounds``."""
+    """One fold over the segments delimited by ``bounds``, in place."""
     sizes = np.diff(bounds)
     words = (sizes + 7) // 8
     # exclusive word-start offsets per segment, plus total
     wstarts = np.zeros(words.size + 1, dtype=np.int64)
     np.cumsum(words, out=wstarts[1:])
     total_words = int(wstarts[-1])
+    wkeys = _word_keys(int(words.max()))
     padded = np.zeros(total_words * 8, dtype=np.uint8)
-    # move each segment's bytes to its word-aligned padded position: a
-    # per-segment memcpy loop for realistic chunk sizes (loop overhead is
-    # per *chunk*, copy cost is C), a fully vectorized byte scatter when
-    # segments are so tiny that per-segment Python overhead would win
+    keys = np.empty(total_words, dtype=np.uint64)
+    # lay each segment's bytes at its word-aligned position and its
+    # words' keys beside them: a per-segment memcpy loop for realistic
+    # chunk sizes (loop overhead is per *chunk*, copy cost is C), a
+    # vectorized scatter when segments are so tiny that per-segment
+    # Python overhead would win
     n_span = int(bounds[-1] - bounds[0])
-    pstarts = 8 * wstarts[:-1]
     if n_span >= 64 * sizes.size:
-        for s, length, p in zip(
-            bounds[:-1].tolist(), sizes.tolist(), pstarts.tolist()
+        for s, length, w, nw in zip(
+            bounds[:-1].tolist(), sizes.tolist(), wstarts[:-1].tolist(), words.tolist()
         ):
-            padded[p : p + length] = buf[s : s + length]
+            padded[8 * w : 8 * w + length] = buf[s : s + length]
+            keys[w : w + nw] = wkeys[:nw]
     else:
-        src = np.arange(n_span, dtype=np.int64)
-        shift = np.repeat(pstarts - (bounds[:-1] - bounds[0]), sizes)
-        padded[src + shift] = buf[bounds[0] : bounds[-1]]
-        del src, shift
-    wview = padded.view("<u8")
-    # in-segment word index for every word
-    karr = np.arange(total_words, dtype=np.int64) - np.repeat(wstarts[:-1], words)
-    mixed = splitmix64_array(wview ^ _word_keys(int(words.max()))[karr])
-    folded = np.bitwise_xor.reduceat(mixed, wstarts[:-1])
+        shift = np.repeat(8 * wstarts[:-1] - (bounds[:-1] - bounds[0]), sizes)
+        padded[np.arange(n_span) + shift] = buf[bounds[0] : bounds[-1]]
+        keys[:] = wkeys[np.arange(total_words) - np.repeat(wstarts[:-1], words)]
+    x = padded.view("<u8")
+    x ^= keys
+    _splitmix64_inplace(x, scratch=keys)
+    folded = np.bitwise_xor.reduceat(x, wstarts[:-1])
     return splitmix64_array(folded ^ splitmix64_array(sizes))
-

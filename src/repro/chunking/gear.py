@@ -29,6 +29,13 @@ temporaries stay bounded and in cache whatever the input size. Every
 masked hit is a candidate; :func:`repro.chunking.select.select_cuts`
 applies the min/max clamps.
 
+The lanes are gathered two bytes at a time: a 65,536-entry pair table
+holds ``lane(x0) | lane(x1) << w`` at index ``x0 | x1 << 8``, so
+gathering it with the block read as little-endian uint16 and viewing the
+result as lanes gives exactly the per-byte gather in half the lookups.
+Blocks start at an even offset; an odd last byte takes one scalar
+lookup.
+
 The literal 64-lag uint64 sum is kept in ``tests/oracle/gear_oracle.py``
 as the executable specification; the cuts here must match it on every
 input.
@@ -44,12 +51,12 @@ from repro._util import KIB, check_positive, rng_from
 from repro.chunking.base import Chunker
 from repro.chunking.select import select_cuts
 
-#: bytes per evaluation block. Measured on the 8 MiB ``chunking_fixture``
-#: buffer (x86_64 Xeon, 2 vCPU, numpy 2.4): 64-256 KiB blocks cut at
-#: 350-390 MB/s; 1 MiB blocks drop to ~225 MB/s and one whole-buffer pass
-#: to ~130 MB/s, once the temporaries fall out of cache. 256 KiB is the
-#: widest block on the plateau (fewest per-block numpy calls)
-_BLOCK = 256 * KIB
+#: bytes per evaluation block. Measured with the pair-table gather on the
+#: 8 MiB ``chunking_fixture`` buffer (x86_64 Xeon, 2 vCPU, numpy 2.4,
+#: median of five rounds): 64-256 KiB blocks cut at 600-625 MB/s, 32 KiB
+#: at ~530 (per-block call overhead), 512 KiB at ~540 and 1 MiB at ~450
+#: (temporaries out of cache). 128 KiB tops the plateau
+_BLOCK = 128 * KIB
 
 #: simulated CPU bandwidth for the informational chunking span, matching
 #: ``repro.dedup.base.SegmentCost.cpu_seconds_per_byte`` (1/600e6) so the
@@ -89,6 +96,17 @@ def _narrow_table(table: np.ndarray, bits: int) -> np.ndarray:
     raise ValueError(f"boundary mask of {bits} bits exceeds 32 (avg_size too large)")
 
 
+def _pair_table(lanes: np.ndarray) -> np.ndarray:
+    """The lanes of every byte pair, indexed by the pair read as one
+    little-endian uint16: ``T[x0 | x1 << 8]`` viewed as lanes is
+    ``[lanes[x0], lanes[x1]]``, so one gather fills two lanes."""
+    wide = np.uint32 if lanes.dtype == np.uint16 else np.uint64
+    pair = np.arange(1 << 16)
+    low = lanes[pair & 0xFF].astype(wide)
+    high = lanes[pair >> 8].astype(wide)
+    return low | (high << wide(8 * lanes.itemsize))
+
+
 class GearChunker(Chunker):
     """Content-defined chunker using the Gear rolling hash.
 
@@ -124,20 +142,36 @@ class GearChunker(Chunker):
         self.seed = int(seed)
         self._bits = _mask_bits(self.avg_size)
         self._lanes = _narrow_table(_gear_table(seed), self._bits)
+        self._pairs = _pair_table(self._lanes)
         self.last_stats: Optional[ChunkScanStats] = None
 
     def _candidates(self, buf: np.ndarray) -> np.ndarray:
-        """Every cut offset ``i + 1`` whose masked hash at ``i`` is zero."""
+        """Every cut offset ``i + 1`` whose masked hash at ``i`` is zero.
+
+        Each block gathers its bytes plus the ``b - 1`` before it, read
+        from an even offset as little-endian byte pairs through the pair
+        table; an odd last byte takes one scalar lookup.
+        """
         bits = self._bits
-        lanes = self._lanes
+        lanes, pairs = self._lanes, self._pairs
         carry = bits - 1
         n = buf.size
-        tmp = np.empty(min(n, _BLOCK + carry), dtype=lanes.dtype)
+        width = min(n, _BLOCK) + carry + 1
+        h_pairs = np.empty((width + 1) // 2, dtype=pairs.dtype)
+        h_all = h_pairs.view(lanes.dtype)
+        tmp = np.empty(width, dtype=lanes.dtype)
         found = []
         for start in range(0, n, _BLOCK):
-            lo = max(start - carry, 0)
-            h = np.take(lanes, buf[lo : start + _BLOCK])
-            m = h.size
+            end = min(start + _BLOCK, n)
+            lo = max(start - carry, 0) & ~1
+            m = end - lo
+            half = m // 2
+            # every uint16 index is in range, so "wrap" never wraps; it
+            # only spares the bounds-checked copy that out= costs in "raise"
+            np.take(pairs, buf[lo : lo + 2 * half].view("<u2"), out=h_pairs[:half], mode="wrap")
+            h = h_all[:m]
+            if m & 1:
+                h[-1] = lanes[buf[end - 1]]
             s = 1
             while s < bits and s < m:
                 np.add(h[s:], np.left_shift(h[:-s], s, out=tmp[: m - s]), out=h[s:])

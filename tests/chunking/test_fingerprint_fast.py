@@ -2,8 +2,9 @@
 
 ``fingerprint_segments_fast`` is a different *family* from the BLAKE2b
 path (not a drop-in hash), but within the family the vectorized batch
-fold must match :func:`fingerprint64_fast` bit-for-bit per segment, for
-every segment-size mix and batch granularity.
+fold must match the scalar reference
+(:func:`tests.oracle.fold_oracle.fingerprint64_fast`) bit-for-bit per
+segment, for every segment-size mix and batch granularity.
 """
 
 import numpy as np
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chunking.fingerprint import (
-    fingerprint64_fast,
     fingerprint_segments,
     fingerprint_segments_fast,
 )
 from repro.chunking.gear import GearChunker
+
+from tests.oracle.fold_oracle import fingerprint64_fast
 
 
 def random_bytes(n: int, seed: int = 0) -> bytes:
