@@ -23,46 +23,19 @@ byte-identical to ``--jobs 1`` (see DESIGN.md §9).
 from __future__ import annotations
 
 import argparse
-import importlib
 import logging
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.experiments.config import SCALE_NAMES, ExperimentConfig
+from repro.experiments import suite
+
+if TYPE_CHECKING:
+    from repro.experiments.common import FigureResult
 
 #: where ``trace`` drops its metrics snapshot for ``stats --last``
 LAST_STATS_PATH = Path(".repro_stats.json")
-
-# experiment name -> "module:function", resolved on demand so one
-# figure's run doesn't pay for importing every other harness
-_FIGURES: Dict[str, str] = {
-    "fig2": "repro.experiments.fig2:run",
-    "fig3": "repro.experiments.fig3:run",
-    "fig4": "repro.experiments.fig4:run",
-    "fig5": "repro.experiments.fig5:run",
-    "fig6": "repro.experiments.fig6:run",
-    "alpha-sweep": "repro.experiments.ablations:alpha_sweep",
-    "segment-ablation": "repro.experiments.ablations:segment_ablation",
-    "cache-ablation": "repro.experiments.ablations:cache_ablation",
-    "restore-ablation": "repro.experiments.restore_ablation:run",
-    "related-work": "repro.experiments.extensions:related_work_comparison",
-    "gc-study": "repro.experiments.extensions:gc_study",
-    "frontier": "repro.experiments.frontier:run",
-    "tenants": "repro.experiments.tenants:run",
-}
-
-
-def _resolve(name: str) -> Callable[[ExperimentConfig], "FigureResult"]:
-    modname, funcname = _FIGURES[name].split(":")
-    return getattr(importlib.import_module(modname), funcname)
-
-_FLOAT_FMT = {
-    "fig3": "{:.3f}",
-    "fig5": "{:.3f}",
-    "frontier": "{:.2f}",
-    "tenants": "{:.2f}",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_FIGURES)
+        choices=sorted(suite.EXPERIMENTS)
         + ["all", "report", "trace", "stats", "dash", "chaos"],
         help="which figure/ablation to regenerate ('all' runs fig2..fig6; "
         "'report' renders everything as one markdown document; 'trace' "
@@ -298,10 +271,10 @@ def _run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     if args.target is None:
         parser.error("trace needs a figure, e.g.: trace fig4")
-    if args.target not in _FIGURES:
+    if args.target not in suite.EXPERIMENTS:
         parser.error(
             f"unknown trace target {args.target!r} "
-            f"(choose from {', '.join(sorted(_FIGURES))})"
+            f"(choose from {', '.join(sorted(suite.EXPERIMENTS))})"
         )
     config = _make_config(args)
     manifest = build_manifest(
@@ -323,11 +296,12 @@ def _run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             if sink is not None:
                 # provenance rides first in the stream
                 obs.events.emit(MANIFEST_EVENT, **manifest.as_dict())
-            result = _resolve(args.target)(config, jobs=args.jobs)
+            results, errors = suite.run_suite(
+                [args.target], config, jobs=args.jobs, timeout_s=args.cell_timeout
+            )
     finally:
         common.clear_memo()
-    print(result.table(fmt=_FLOAT_FMT.get(args.target, "{:.1f}")))
-    print()
+    failed = _print_results(args, [args.target], results, errors)
     print(obs.registry.render())
     LAST_STATS_PATH.write_text(
         json.dumps(
@@ -350,7 +324,7 @@ def _run_trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "(open at https://ui.perfetto.dev)"
         )
     print(f"metrics snapshot saved to {LAST_STATS_PATH} (view: repro stats --last)")
-    return 0
+    return 1 if failed else 0
 
 
 def _run_stats(args: argparse.Namespace) -> int:
@@ -427,6 +401,32 @@ def _run_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _print_results(
+    args: argparse.Namespace,
+    names: List[str],
+    results: Dict[str, "FigureResult"],
+    errors: Dict[str, str],
+) -> bool:
+    """Print each experiment's table (or its fatal error), save it when
+    ``--save`` is given; True when any experiment or cell failed."""
+    for name in names:
+        if name in errors:
+            print(f"FAILED {name}: {errors[name]}")
+            print()
+            continue
+        result = results[name]
+        print(result.table(fmt=suite.EXPERIMENTS[name].fmt))
+        print()
+        if args.save is not None:
+            from repro.experiments.io import save_csv, save_json
+
+            outdir = Path(args.save)
+            outdir.mkdir(parents=True, exist_ok=True)
+            save_json(result, outdir / f"{name}.json")
+            save_csv(result, outdir / f"{name}.csv")
+    return suite.suite_failed(results, errors)
+
+
 def _make_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig.by_name(args.scale)
     if args.seed is not None:
@@ -484,36 +484,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         text = generate_markdown(config, jobs=args.jobs)
         print(text)
         if args.save is not None:
-            from pathlib import Path
-
             outdir = Path(args.save)
             outdir.mkdir(parents=True, exist_ok=True)
             (outdir / "report.md").write_text(text)
         return 0
-    from repro.experiments.suite import ALL_FIGURES, run_suite, suite_failed
-
-    names = list(ALL_FIGURES) if args.experiment == "all" else [args.experiment]
-    results, errors = run_suite(
+    names = list(suite.ALL_FIGURES) if args.experiment == "all" else [args.experiment]
+    results, errors = suite.run_suite(
         names, config, jobs=args.jobs, timeout_s=args.cell_timeout
     )
-    for name in names:
-        if name in errors:
-            print(f"FAILED {name}: {errors[name]}")
-            print()
-            continue
-        result = results[name]
-        print(result.table(fmt=_FLOAT_FMT.get(name, "{:.1f}")))
-        print()
-        if args.save is not None:
-            from pathlib import Path
-
-            from repro.experiments.io import save_csv, save_json
-
-            outdir = Path(args.save)
-            outdir.mkdir(parents=True, exist_ok=True)
-            save_json(result, outdir / f"{name}.json")
-            save_csv(result, outdir / f"{name}.csv")
-    return 1 if suite_failed(results, errors) else 0
+    return 1 if _print_results(args, names, results, errors) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

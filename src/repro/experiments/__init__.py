@@ -1,7 +1,13 @@
-"""Experiment harnesses: one runner per paper figure, plus ablations.
+"""Experiment harnesses: one module per paper figure, plus ablations.
 
-Every figure in the paper's evaluation has a module here that regenerates
-its series on the simulated substrate:
+Every experiment is a grid of independent cells. Each harness module
+exposes the uniform pair ``cells(config)`` (the cell specs) and
+``assemble(config, results)`` (the
+:class:`~repro.experiments.common.FigureResult` rebuilt from the cell
+payloads). :data:`repro.experiments.suite.EXPERIMENTS` is the one table
+naming them, with each experiment's table format, and
+:func:`repro.experiments.suite.run_suite` is the one way to run them
+(``python -m repro <name>`` drives it):
 
 * :mod:`~repro.experiments.fig2` — DDFS-like throughput decay, 20 full
   generations.
@@ -15,39 +21,23 @@ its series on the simulated substrate:
   DDFS-like, generations 1–20.
 * :mod:`~repro.experiments.ablations` — α sweep, segmenter, and cache
   sizing studies.
+* :mod:`~repro.experiments.restore_ablation` — restore cache policy x
+  cache size x forward-assembly window.
+* :mod:`~repro.experiments.extensions` — related-work comparison and the
+  garbage-collection study.
 * :mod:`~repro.experiments.frontier` — the placement-policy frontier:
   dedup ratio vs ingest rate vs restore seeks by backup age vs
   maintenance cost, across every registered engine.
+* :mod:`~repro.experiments.tenants` — multi-tenant fairness of the
+  shared fingerprint cache.
 
-All runners take an :class:`~repro.experiments.config.ExperimentConfig`
-(scales: ``small`` for tests, ``default`` for the recorded results,
-``large`` for patient runs) and return a
-:class:`~repro.experiments.common.FigureResult` with the same series the
-paper plots.
+Every experiment takes an
+:class:`~repro.experiments.config.ExperimentConfig` (scales: ``small``
+for tests, ``default`` for the recorded results, ``large`` for patient
+runs). The harness modules are imported on demand, never by this
+package.
 """
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.common import FigureResult
-from repro.experiments import (
-    ablations,
-    extensions,
-    fig2,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    frontier,
-)
 
-__all__ = [
-    "ExperimentConfig",
-    "FigureResult",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "ablations",
-    "extensions",
-    "frontier",
-]
+__all__ = ["ExperimentConfig"]

@@ -1,21 +1,25 @@
 """Ablation studies for the design choices DESIGN.md calls out.
 
-* :func:`alpha_sweep` — the α trade-off: kept redundancy (storage cost)
-  vs ingest throughput vs restore rate, α ∈ {0, 0.05, 0.1, 0.2, 0.5}.
-  The paper fixes α = 0.1 and notes it "can be adjusted and controlled
-  to trade off the spatial locality improvement and the sacrificed
-  compression ratios"; this quantifies that trade-off.
-* :func:`segment_ablation` — content-defined vs fixed segmenting.
-* :func:`cache_ablation` — DDFS prefetch-cache capacity vs throughput
-  decay (how much RAM merely *hides* de-linearization).
+* ``alpha-sweep`` (``alpha_cells``/``alpha_assemble``) — the α
+  trade-off: kept redundancy (storage cost) vs ingest throughput vs
+  restore rate, α ∈ :data:`ALPHAS`. The paper fixes α = 0.1 and notes it
+  "can be adjusted and controlled to trade off the spatial locality
+  improvement and the sacrificed compression ratios"; this quantifies
+  that trade-off.
+* ``segment-ablation`` (``segment_cells``/``segment_assemble``) —
+  content-defined vs fixed segmenting.
+* ``cache-ablation`` (``cache_cells``/``cache_assemble``) — DDFS
+  prefetch-cache capacity vs throughput decay (how much RAM merely
+  *hides* de-linearization).
 
 Grid decomposition: each sweep point (one α value, one segmenter kind,
-one cache size) is an independent cell.
+one cache size) is an independent cell. Run them through the experiment
+table, e.g. ``python -m repro alpha-sweep``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.dedup.pipeline import run_workload
 from repro.api import create_engine, create_reader, create_resources
@@ -29,14 +33,16 @@ from repro.experiments.config import ExperimentConfig
 from repro.metrics.efficiency import cumulative_efficiency
 from repro.metrics.storage import storage_summary
 from repro.metrics.throughput import mean_throughput
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec, GridError
 from repro.segmenting.segmenter import FixedSegmenter
 from repro.workloads.generators import author_fs_20_full
 
 
-DEFAULT_ALPHAS = (0.0, 0.05, 0.1, 0.2, 0.5)
+#: the α points the sweep runs DeFrag at
+ALPHAS = (0.0, 0.05, 0.1, 0.2, 0.5)
 
-DEFAULT_CACHE_SIZES = (4, 8, 12, 24, 48)
+#: the DDFS prefetch-cache capacities (containers) the cache ablation runs
+CACHE_SIZES = (4, 8, 12, 24, 48)
 
 _NAN = float("nan")
 
@@ -69,12 +75,10 @@ def alpha_cell(config: ExperimentConfig) -> Dict:
     }
 
 
-def alpha_cells(
-    config: ExperimentConfig, alphas: Sequence[float] = DEFAULT_ALPHAS
-) -> List[CellSpec]:
+def alpha_cells(config: ExperimentConfig) -> List[CellSpec]:
     """One DeFrag cell per α point."""
     specs = []
-    for alpha in alphas:
+    for alpha in ALPHAS:
         cfg = config.with_(alpha=alpha)
         specs.append(
             CellSpec(
@@ -86,12 +90,8 @@ def alpha_cells(
     return specs
 
 
-def alpha_assemble(
-    config: ExperimentConfig,
-    results: Dict,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-) -> FigureResult:
-    specs = alpha_cells(config, alphas)
+def alpha_assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
+    specs = alpha_cells(config)
     values, failures = cell_values(specs, results)
     if not values:
         raise GridError(f"alpha-sweep: every cell failed: {failures}")
@@ -100,7 +100,7 @@ def alpha_assemble(
         figure="AblationAlpha",
         title="alpha sweep: locality gain vs compression sacrificed",
         x_label="alpha*100",
-        x=[int(round(a * 100)) for a in alphas],
+        x=[int(round(a * 100)) for a in ALPHAS],
         series={
             "ingest MB/s": [r["ingest_mbps"] if r else _NAN for r in rows],
             "kept redund %": [r["kept_pct"] if r else _NAN for r in rows],
@@ -113,18 +113,6 @@ def alpha_assemble(
         },
         failures=failures,
     )
-
-
-def alpha_sweep(
-    config: Optional[ExperimentConfig] = None,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    *,
-    jobs: int = 1,
-) -> FigureResult:
-    """DeFrag across α values on the 20-generation author workload."""
-    config = config if config is not None else ExperimentConfig.default()
-    results = run_grid(alpha_cells(config, alphas), jobs=jobs)
-    return alpha_assemble(config, results, alphas)
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +176,6 @@ def segment_assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
     )
 
 
-def segment_ablation(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Content-defined vs fixed segmenting under DeFrag."""
-    config = config if config is not None else ExperimentConfig.default()
-    return segment_assemble(config, run_grid(segment_cells(config), jobs=jobs))
-
-
 # ----------------------------------------------------------------------
 # prefetch-cache capacity
 # ----------------------------------------------------------------------
@@ -215,12 +195,10 @@ def cache_cell(config: ExperimentConfig) -> Dict:
     }
 
 
-def cache_cells(
-    config: ExperimentConfig, cache_sizes: Sequence[int] = DEFAULT_CACHE_SIZES
-) -> List[CellSpec]:
+def cache_cells(config: ExperimentConfig) -> List[CellSpec]:
     """One DDFS cell per cache capacity."""
     specs = []
-    for cc in cache_sizes:
+    for cc in CACHE_SIZES:
         cfg = config.with_(cache_containers=int(cc))
         specs.append(
             CellSpec(
@@ -232,12 +210,8 @@ def cache_cells(
     return specs
 
 
-def cache_assemble(
-    config: ExperimentConfig,
-    results: Dict,
-    cache_sizes: Sequence[int] = DEFAULT_CACHE_SIZES,
-) -> FigureResult:
-    specs = cache_cells(config, cache_sizes)
+def cache_assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
+    specs = cache_cells(config)
     values, failures = cell_values(specs, results)
     if not values:
         raise GridError(f"cache-ablation: every cell failed: {failures}")
@@ -246,7 +220,7 @@ def cache_assemble(
         figure="AblationCache",
         title="DDFS prefetch-cache capacity vs throughput decay",
         x_label="cache (containers)",
-        x=[int(c) for c in cache_sizes],
+        x=[int(c) for c in CACHE_SIZES],
         series={
             "gen1 MB/s": [r["first_mbps"] if r else _NAN for r in rows],
             "genN MB/s": [r["last_mbps"] if r else _NAN for r in rows],
@@ -259,14 +233,3 @@ def cache_assemble(
         failures=failures,
     )
 
-
-def cache_ablation(
-    config: Optional[ExperimentConfig] = None,
-    cache_sizes: Sequence[int] = DEFAULT_CACHE_SIZES,
-    *,
-    jobs: int = 1,
-) -> FigureResult:
-    """DDFS throughput decay vs prefetch-cache capacity."""
-    config = config if config is not None else ExperimentConfig.default()
-    results = run_grid(cache_cells(config, cache_sizes), jobs=jobs)
-    return cache_assemble(config, results, cache_sizes)

@@ -1,21 +1,28 @@
 """Extension experiments beyond the paper's figures.
 
-* :func:`related_work_comparison` — all selective/near-exact schemes the
-  paper discusses, side by side on one workload: DeFrag (SPL rewrites),
-  iDedup (sequence-length rewrites), SiLo (similarity near-exact),
-  SparseIndex (sample near-exact), DDFS (exact, locality-cached).
-* :func:`gc_study` — how much of DeFrag's compression sacrifice is
-  reclaimable: ingest with rewrites, expire old generations, run the
-  garbage collector, and measure space and restore rate before/after.
+* ``related-work`` (``related_cells``/``related_assemble``) — all
+  selective/near-exact schemes the paper discusses, side by side on one
+  workload: DeFrag (SPL rewrites), iDedup (sequence-length rewrites),
+  SiLo (similarity near-exact), SparseIndex (sample near-exact), DDFS
+  (exact, locality-cached).
+* ``gc-study`` (``gc_cells``/``gc_assemble``) — how much of DeFrag's
+  compression sacrifice is reclaimable: ingest with rewrites, expire all
+  but the last :data:`GC_RETAIN_LAST` generations, run the garbage
+  collector, and measure space and restore rate before/after. It shows
+  that DeFrag's rewrite overhead is largely *transient*: once old
+  generations expire, the superseded copies sit in low-utilization
+  containers that compaction reclaims, and the surviving backups restore
+  at least as fast afterwards.
 
 Grid decomposition: one cell per engine for the comparison; the GC
 study is a single cell (ingest → expire → collect is one pipeline over
-one live store).
+one live store). Run them through the experiment table, e.g.
+``python -m repro gc-study``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.dedup.pipeline import run_workload
 from repro.api import create_engine, create_resources
@@ -29,12 +36,19 @@ from repro.experiments.config import ExperimentConfig
 from repro.metrics.efficiency import cumulative_efficiency
 from repro.metrics.storage import storage_summary
 from repro.metrics.throughput import mean_throughput
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec, GridError
 from repro.restore.reader import RestoreReader
 from repro.storage.gc import GarbageCollector
 from repro.workloads.generators import author_fs_20_full
 
-DEFAULT_RELATED_ENGINES = ("DDFS-Like", "SiLo-Like", "SparseIndex", "iDedup", "DeFrag")
+#: the engines the related-work comparison scores, in series order
+RELATED_ENGINES = ("DDFS-Like", "SiLo-Like", "SparseIndex", "iDedup", "DeFrag")
+
+#: the GC study keeps the last this-many backups and expires the rest
+GC_RETAIN_LAST = 4
+
+#: the GC study compacts containers whose live fraction is below this
+GC_MIN_UTILIZATION = 0.7
 
 _NAN = float("nan")
 
@@ -69,10 +83,7 @@ def related_cell(config: ExperimentConfig, engine: str) -> Dict:
     }
 
 
-def related_cells(
-    config: ExperimentConfig,
-    engines: Sequence[str] = DEFAULT_RELATED_ENGINES,
-) -> List[CellSpec]:
+def related_cells(config: ExperimentConfig) -> List[CellSpec]:
     """One scorecard cell per engine."""
     return [
         CellSpec(
@@ -81,16 +92,12 @@ def related_cells(
             config=config,
             kwargs={"engine": engine},
         )
-        for engine in engines
+        for engine in RELATED_ENGINES
     ]
 
 
-def related_assemble(
-    config: ExperimentConfig,
-    results: Dict,
-    engines: Sequence[str] = DEFAULT_RELATED_ENGINES,
-) -> FigureResult:
-    specs = related_cells(config, engines)
+def related_assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
+    specs = related_cells(config)
     values, failures = cell_values(specs, results)
     if not values:
         raise GridError(f"related-work: every cell failed: {failures}")
@@ -113,27 +120,13 @@ def related_assemble(
     )
 
 
-def related_work_comparison(
-    config: Optional[ExperimentConfig] = None,
-    engines: Sequence[str] = DEFAULT_RELATED_ENGINES,
-    *,
-    jobs: int = 1,
-) -> FigureResult:
-    """One row per engine: ingest rate, efficiency, compression, restore."""
-    config = config if config is not None else ExperimentConfig.default()
-    results = run_grid(related_cells(config, engines), jobs=jobs)
-    return related_assemble(config, results, engines)
-
-
 # ----------------------------------------------------------------------
 # garbage-collection study
 # ----------------------------------------------------------------------
 
 
 def gc_cell(
-    config: ExperimentConfig,
-    retain_last: int = 4,
-    min_utilization: float = 0.7,
+    config: ExperimentConfig, retain_last: int, min_utilization: float
 ) -> Dict:
     """Grid cell: the whole ingest → expire → collect → re-restore
     pipeline (one live store end to end)."""
@@ -164,12 +157,9 @@ def gc_cell(
     }
 
 
-def gc_cells(
-    config: ExperimentConfig,
-    retain_last: int = 4,
-    min_utilization: float = 0.7,
-) -> List[CellSpec]:
+def gc_cells(config: ExperimentConfig) -> List[CellSpec]:
     """The study's grid: a single end-to-end cell."""
+    retain_last, min_utilization = GC_RETAIN_LAST, GC_MIN_UTILIZATION
     return [
         CellSpec(
             key=("gc", f"r{retain_last}", f"u{min_utilization:g}", config_fingerprint(config)),
@@ -180,20 +170,15 @@ def gc_cells(
     ]
 
 
-def gc_assemble(
-    config: ExperimentConfig,
-    results: Dict,
-    retain_last: int = 4,
-    min_utilization: float = 0.7,
-) -> FigureResult:
-    specs = gc_cells(config, retain_last, min_utilization)
+def gc_assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
+    specs = gc_cells(config)
     values, failures = cell_values(specs, results)
     if not values:
         raise GridError(f"gc-study: every cell failed: {failures}")
     payload = values[specs[0].key]
     return FigureResult(
         figure="ExtGC",
-        title=f"garbage collection after expiring to last {retain_last} backups",
+        title=f"garbage collection after expiring to last {GC_RETAIN_LAST} backups",
         x_label="metric-idx",
         x=[0, 1, 2, 3, 4, 5],
         series={"value": list(payload["values"])},
@@ -206,23 +191,3 @@ def gc_assemble(
         failures=failures,
     )
 
-
-def gc_study(
-    config: Optional[ExperimentConfig] = None,
-    retain_last: int = 4,
-    min_utilization: float = 0.7,
-    *,
-    jobs: int = 1,
-) -> FigureResult:
-    """Expire all but the last ``retain_last`` backups and collect.
-
-    Shows that DeFrag's rewrite overhead is largely *transient*: once old
-    generations expire, the superseded copies sit in low-utilization
-    containers that compaction reclaims, and the surviving backups
-    restore at least as fast afterwards.
-    """
-    config = config if config is not None else ExperimentConfig.default()
-    results = run_grid(
-        gc_cells(config, retain_last, min_utilization), jobs=jobs
-    )
-    return gc_assemble(config, results, retain_last, min_utilization)

@@ -15,7 +15,7 @@ Grid decomposition: a single cell (one engine, one workload).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.dedup.pipeline import run_workload
 from repro.api import create_engine, create_resources
@@ -28,7 +28,7 @@ from repro.experiments.common import (
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.efficiency import cumulative_efficiency, efficiency_series
 from repro.metrics.fragmentation import locality_series
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec, GridError
 from repro.workloads.generators import author_fs_20_incremental
 
 
@@ -92,19 +92,3 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         },
         failures=failures,
     )
-
-
-def run(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Regenerate Fig. 3's series."""
-    config = config if config is not None else ExperimentConfig.default()
-    return assemble(config, run_grid(cells(config), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table(fmt="{:.3f}"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

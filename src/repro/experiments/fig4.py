@@ -13,7 +13,7 @@ deduplicate against these in a combined ``repro all`` grid.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.common import (
     MAINTENANCE_ENGINE_NAMES,
@@ -22,7 +22,7 @@ from repro.experiments.common import (
     group_cell_spec,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec, GridError
 
 #: the three engines Fig. 4 compares, in series order
 ENGINES = ("DeFrag", "DDFS-Like", "SiLo-Like")
@@ -92,19 +92,3 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         notes=notes,
         failures=failures,
     )
-
-
-def run(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Regenerate Fig. 4's series (three engines, shared workload)."""
-    config = config if config is not None else ExperimentConfig.default()
-    return assemble(config, run_grid(cells(config), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

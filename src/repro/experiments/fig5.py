@@ -13,7 +13,7 @@ each engine run once — the parallel analogue of the serial group memo.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.common import (
     FigureResult,
@@ -21,7 +21,7 @@ from repro.experiments.common import (
     group_cell_spec,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec, GridError
 
 #: the two engines Fig. 5 compares, in series order
 ENGINES = ("DeFrag", "SiLo-Like")
@@ -70,19 +70,3 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         },
         failures=failures,
     )
-
-
-def run(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Regenerate Fig. 5's series."""
-    config = config if config is not None else ExperimentConfig.default()
-    return assemble(config, run_grid(cells(config), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table(fmt="{:.3f}"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,7 +15,7 @@ needs the engine's live store, so it happens inside the cell).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.dedup.pipeline import run_workload, run_workload_with_maintenance
 from repro.api import create_engine, create_reader, create_resources, engine_info
@@ -27,7 +27,7 @@ from repro.experiments.common import (
     paper_segmenter,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec, GridError
 from repro.workloads.generators import author_fs_20_full
 
 #: the two engines Fig. 6 compares, in series order
@@ -163,19 +163,3 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         notes=notes,
         failures=failures,
     )
-
-
-def run(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Regenerate Fig. 6's series."""
-    config = config if config is not None else ExperimentConfig.default()
-    return assemble(config, run_grid(cells(config), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

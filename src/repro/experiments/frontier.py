@@ -28,7 +28,7 @@ generation). Both comparisons are printed as notes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.api import create_engine, create_reader, create_resources, engine_info
 from repro.dedup.pipeline import GroundTruth, run_backup
@@ -41,7 +41,7 @@ from repro.experiments.common import (
     paper_segmenter,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec, GridError
 from repro.workloads.generators import author_fs_20_full
 
 #: every engine on the frontier, paper legends first
@@ -167,19 +167,3 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         notes=notes,
         failures=failures,
     )
-
-
-def run(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Produce the placement-policy frontier table."""
-    config = config if config is not None else ExperimentConfig.default()
-    return assemble(config, run_grid(cells(config), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -8,12 +8,12 @@ raw series alongside it. EXPERIMENTS.md's numbers were produced this way.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro._util import MIB
 from repro.experiments.common import FigureResult, clear_memo
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.suite import ALL_FIGURES, EXPERIMENTS, run_suite
 from repro.obs import (
     Histogram,
     MetricsRegistry,
@@ -25,19 +25,6 @@ from repro.obs import (
     obs_session,
 )
 from repro.parallel import GridError
-
-_FIGS = (
-    ("fig2", "{:.1f}"),
-    ("fig3", "{:.3f}"),
-    ("fig4", "{:.1f}"),
-    ("fig5", "{:.3f}"),
-    ("fig6", "{:.1f}"),
-)
-
-_ABLATIONS = (
-    ("alpha-sweep", "{:.2f}"),
-    ("cache-ablation", "{:.2f}"),
-)
 
 
 def _markdown_table(result: FigureResult, fmt: str) -> str:
@@ -170,10 +157,7 @@ def _diagnostics_section(registry: MetricsRegistry) -> str:
 
 
 def generate_markdown(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    include_ablations: bool = False,
-    jobs: int = 1,
+    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
 ) -> str:
     """Run every figure (under an observability session, so the report
     can close with a Diagnostics rollup) and render one markdown
@@ -181,8 +165,6 @@ def generate_markdown(
     cells shared between figures record diagnostics exactly once, in
     either venue — so the rendered document is byte-identical for any
     ``jobs``."""
-    from repro.experiments.suite import run_suite
-
     config = config if config is not None else ExperimentConfig.default()
     sections: List[str] = [
         "# DeFrag reproduction report",
@@ -195,16 +177,13 @@ def generate_markdown(
         "",
         _provenance_section(config),
     ]
-    entries = _FIGS + (_ABLATIONS if include_ablations else ())
     # drop memoized workload runs so the figures execute (and record
     # diagnostics) under this session; again after, so obs-off callers
     # never reuse anything built during it
     clear_memo()
     try:
         with obs_session(Observability()) as obs:
-            results, errors = run_suite(
-                [name for name, _ in entries], config, jobs=jobs
-            )
+            results, errors = run_suite(ALL_FIGURES, config, jobs=jobs)
     finally:
         clear_memo()
     if errors:
@@ -212,30 +191,16 @@ def generate_markdown(
             "report aborted, experiments failed: "
             + "; ".join(f"{k}: {v}" for k, v in errors.items())
         )
-    for name, fmt in entries:
+    for name in ALL_FIGURES:
         result = results[name]
         sections += [
             "",
             f"## {result.figure}: {result.title}",
             "",
-            _markdown_table(result, fmt),
+            _markdown_table(result, EXPERIMENTS[name].fmt),
             "",
         ]
         sections += [f"- **{k}**: {v}" for k, v in result.notes.items()]
     sections += ["", _diagnostics_section(obs.registry), ""]
     return "\n".join(sections)
 
-
-def write_report(
-    path,
-    config: Optional[ExperimentConfig] = None,
-    *,
-    include_ablations: bool = False,
-    jobs: int = 1,
-) -> Path:
-    """Generate and write the markdown report; returns the path."""
-    path = Path(path)
-    path.write_text(
-        generate_markdown(config, include_ablations=include_ablations, jobs=jobs)
-    )
-    return path

@@ -18,7 +18,7 @@ that one ingested store.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.api import create_engine, create_resources, engine_info
 from repro.dedup.pipeline import run_workload, run_workload_with_maintenance
@@ -30,7 +30,7 @@ from repro.experiments.common import (
     paper_segmenter,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.parallel import CellSpec, GridError, run_grid
+from repro.parallel import CellSpec, GridError
 from repro.restore.cache import RESTORE_POLICIES
 from repro.restore.reader import RestoreReader
 from repro.workloads.generators import author_fs_20_full
@@ -161,19 +161,3 @@ def assemble(config: ExperimentConfig, results: Dict) -> FigureResult:
         notes=notes,
         failures=failures,
     )
-
-
-def run(
-    config: Optional[ExperimentConfig] = None, *, jobs: int = 1
-) -> FigureResult:
-    """Run the restore ablation grid."""
-    config = config if config is not None else ExperimentConfig.default()
-    return assemble(config, run_grid(cells(config), jobs=jobs))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

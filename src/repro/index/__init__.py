@@ -12,15 +12,15 @@ too large for RAM, so engines layer RAM structures in front of it:
   an index hit, serving nearby duplicates from RAM afterwards.
 * :class:`~repro.index.similarity.SimilarityIndex` — SiLo's RAM-resident
   map from segment representative fingerprints to blocks.
-* :mod:`~repro.index.sampling` — min-wise sampling utilities shared by
-  the similarity machinery.
+* :mod:`~repro.index.sampling` — deterministic by-value fingerprint
+  sampling (SparseIndex's hooks).
 """
 
 from repro.index.bloom import BloomFilter
 from repro.index.full_index import ChunkLocation, DiskChunkIndex, IndexStats
 from repro.index.cache import FingerprintPrefetchCache, LRUCache
 from repro.index.similarity import SimilarityIndex
-from repro.index.sampling import minhash_signature, sample_fingerprints
+from repro.index.sampling import sample_fingerprints
 
 __all__ = [
     "BloomFilter",
@@ -30,6 +30,5 @@ __all__ = [
     "FingerprintPrefetchCache",
     "LRUCache",
     "SimilarityIndex",
-    "minhash_signature",
     "sample_fingerprints",
 ]

@@ -1,16 +1,10 @@
-"""Min-wise sampling utilities.
-
-Shared by the similarity machinery (SiLo representatives) and by
-sparse-indexing-style analyses: deterministic fingerprint sampling and
-k-min-hash signatures with the standard Jaccard-estimation property.
-"""
+"""Deterministic fingerprint sampling for sparse-indexing-style lookups."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro._util import check_positive
-from repro.chunking.fingerprint import splitmix64_array
 
 _U64 = np.uint64
 
@@ -26,38 +20,3 @@ def sample_fingerprints(fps: np.ndarray, rate: int) -> np.ndarray:
     fps = np.asarray(fps, dtype=np.uint64)
     return fps[fps % _U64(int(rate)) == 0]
 
-
-def minhash_signature(fps: np.ndarray, k: int = 4) -> np.ndarray:
-    """k-min-hash signature of a fingerprint set.
-
-    Each of the ``k`` rows applies an independent 64-bit mix and takes the
-    minimum; ``P[sig_i(A) == sig_i(B)] == Jaccard(A, B)`` per row.
-
-    Returns:
-        uint64 array of length ``k`` (empty input yields all-max values).
-    """
-    check_positive("k", k)
-    fps = np.asarray(fps, dtype=np.uint64)
-    sig = np.full(k, np.iinfo(np.uint64).max, dtype=np.uint64)
-    if fps.size == 0:
-        return sig
-    for i in range(k):
-        mixed = splitmix64_array(fps ^ _U64(splitmix_salt(i)))
-        sig[i] = mixed.min()
-    return sig
-
-
-def splitmix_salt(i: int) -> int:
-    """A fixed per-row salt for :func:`minhash_signature`."""
-    return (0x9E3779B97F4A7C15 * (i + 1)) & ((1 << 64) - 1)
-
-
-def jaccard(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact Jaccard similarity of two fingerprint sets."""
-    a = np.unique(np.asarray(a, dtype=np.uint64))
-    b = np.unique(np.asarray(b, dtype=np.uint64))
-    if a.size == 0 and b.size == 0:
-        return 1.0
-    inter = np.intersect1d(a, b, assume_unique=True).size
-    union = a.size + b.size - inter
-    return inter / union

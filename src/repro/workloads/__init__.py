@@ -17,7 +17,6 @@ streams.
 * :mod:`~repro.workloads.bytegen` — byte-level twins of the generators:
   real buffers materialized from the same churn model, CDC-chunked and
   batch-fingerprinted into the identical ``BackupJob`` contract.
-* :mod:`~repro.workloads.trace` — save/load backup traces as ``.npz``.
 """
 
 from repro.workloads.fs_model import ChunkIdAllocator, ChurnProfile, FileSystemModel
@@ -36,7 +35,6 @@ from repro.workloads.bytegen import (
     group_fs_bytes,
     single_user_byte_stream,
 )
-from repro.workloads.trace import load_trace, save_trace
 
 __all__ = [
     "ChunkIdAllocator",
@@ -53,6 +51,4 @@ __all__ = [
     "default_byte_chunker",
     "group_fs_bytes",
     "single_user_byte_stream",
-    "load_trace",
-    "save_trace",
 ]

@@ -233,3 +233,35 @@ class TestMainFailurePaths:
         monkeypatch.setattr(suite, "ALL_FIGURES", ("fig4",))
         assert main(["all", "--scale", "small"]) == 1
         assert "FAILED fig4" in capsys.readouterr().out
+
+    def test_trace_failed_cell_exits_nonzero(self, tmp_path, monkeypatch, capsys):
+        """`repro trace` shares the suite path: a failed cell marks the
+        table and fails the exit code, exactly as `repro fig4` does."""
+        from repro.experiments import common
+
+        real = common.group_cell
+
+        def defrag_fails(config, engine):
+            if engine == "DeFrag":
+                raise RuntimeError("injected mid-cell failure")
+            return real(config, engine)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(common, "group_cell", defrag_fails)
+        assert main(["trace", "fig4", "--scale", "small"]) == 1
+        out = capsys.readouterr().out
+        assert "# FAILED cell" in out
+        assert "metrics snapshot saved" in out
+
+    def test_trace_every_cell_failing_reports_experiment_failed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.experiments import common
+
+        def always_fails(config, engine):
+            raise RuntimeError("nothing works")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(common, "group_cell", always_fails)
+        assert main(["trace", "fig4", "--scale", "small"]) == 1
+        assert "FAILED fig4" in capsys.readouterr().out

@@ -3,9 +3,9 @@ point of a simulated clock), different seed -> different workload."""
 
 import pytest
 
-from repro.experiments import fig2
 from repro.experiments.common import FigureResult, clear_memo
 from repro.experiments.config import ExperimentConfig
+from tests.experiments import run_experiment
 
 
 @pytest.fixture(autouse=True)
@@ -17,20 +17,20 @@ def _clear():
 class TestDeterminism:
     def test_same_seed_identical_series(self):
         cfg = ExperimentConfig.small()
-        a = fig2.run(cfg)
-        b = fig2.run(cfg)
+        a = run_experiment("fig2", cfg)
+        b = run_experiment("fig2", cfg)
         assert a.series == b.series
 
     def test_different_seed_different_series(self):
-        a = fig2.run(ExperimentConfig.small().with_(seed=1))
-        b = fig2.run(ExperimentConfig.small().with_(seed=2))
+        a = run_experiment("fig2", ExperimentConfig.small().with_(seed=1))
+        b = run_experiment("fig2", ExperimentConfig.small().with_(seed=2))
         assert a.series != b.series
 
     def test_parallel_jobs_identical_series(self):
         cfg = ExperimentConfig.small()
-        a = fig2.run(cfg)
+        a = run_experiment("fig2", cfg)
         clear_memo()
-        b = fig2.run(cfg, jobs=2)
+        b = run_experiment("fig2", cfg, jobs=2)
         assert a.series == b.series
         assert a.notes == b.notes
 

@@ -3,9 +3,10 @@ claims (shape tests, not absolute numbers)."""
 
 import pytest
 
-from repro.experiments import ablations, fig2, fig3, fig4, fig5, fig6
+from repro.experiments import ablations
 from repro.experiments.common import clear_memo
 from repro.experiments.config import ExperimentConfig
+from tests.experiments import run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -21,13 +22,13 @@ def _clear_memo_after():
 
 @pytest.fixture(scope="module")
 def fig4_result(cfg):
-    return fig4.run(cfg)
+    return run_experiment("fig4", cfg)
 
 
 class TestFig2:
     @pytest.fixture(scope="class")
     def result(self, cfg):
-        return fig2.run(cfg)
+        return run_experiment("fig2", cfg)
 
     def test_series_shape(self, result, cfg):
         assert len(result.x) == cfg.n_generations
@@ -52,7 +53,7 @@ class TestFig2:
 class TestFig3:
     @pytest.fixture(scope="class")
     def result(self, cfg):
-        return fig3.run(cfg)
+        return run_experiment("fig3", cfg)
 
     def test_efficiency_below_one(self, result):
         cum = result.series["cumulative"]
@@ -90,7 +91,7 @@ class TestFig5:
     @pytest.fixture(scope="class")
     def result(self, cfg, fig4_result):
         # fig4 ran first: fig5 reuses its memoized engine runs
-        return fig5.run(cfg)
+        return run_experiment("fig5", cfg)
 
     def test_both_keep_some_redundancy(self, result):
         assert result.series["DeFrag"][-1] < 1.0
@@ -111,7 +112,7 @@ class TestFig5:
 class TestFig6:
     @pytest.fixture(scope="class")
     def result(self, cfg):
-        return fig6.run(cfg)
+        return run_experiment("fig6", cfg)
 
     def test_defrag_reads_faster_late(self, result):
         d = result.series["DeFrag MB/s"]
@@ -128,20 +129,22 @@ class TestFig6:
 
 
 class TestAblations:
-    def test_alpha_sweep_tradeoff(self, cfg):
-        res = ablations.alpha_sweep(cfg, alphas=(0.0, 0.2))
+    def test_alpha_sweep_tradeoff(self, cfg, monkeypatch):
+        monkeypatch.setattr(ablations, "ALPHAS", (0.0, 0.2))
+        res = run_experiment("alpha-sweep", cfg)
         kept = res.series["kept redund %"]
         comp = res.series["compression x"]
         assert kept[0] == pytest.approx(0.0)  # alpha=0 never rewrites
         assert kept[1] >= kept[0]
         assert comp[1] <= comp[0]  # rewrites cost compression
 
-    def test_cache_ablation_monotone_gen1(self, cfg):
-        res = ablations.cache_ablation(cfg, cache_sizes=(2, 8))
+    def test_cache_ablation_monotone_gen1(self, cfg, monkeypatch):
+        monkeypatch.setattr(ablations, "CACHE_SIZES", (2, 8))
+        res = run_experiment("cache-ablation", cfg)
         assert len(res.series["gen1 MB/s"]) == 2
         # bigger cache never hurts the final generation
         assert res.series["genN MB/s"][1] >= res.series["genN MB/s"][0] * 0.9
 
     def test_segment_ablation_runs(self, cfg):
-        res = ablations.segment_ablation(cfg)
+        res = run_experiment("segment-ablation", cfg)
         assert set(res.series) == {"content-defined", "fixed-1MiB"}

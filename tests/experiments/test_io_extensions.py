@@ -8,6 +8,7 @@ from repro.experiments import extensions
 from repro.experiments.common import FigureResult, clear_memo
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.io import load_json, save_csv, save_json
+from tests.experiments import run_experiment
 
 
 @pytest.fixture(autouse=True)
@@ -65,11 +66,9 @@ class TestCliSave:
 
 
 class TestExtensions:
-    def test_related_work_rows(self):
-        cfg = ExperimentConfig.small()
-        res = extensions.related_work_comparison(
-            cfg, engines=("DDFS-Like", "DeFrag")
-        )
+    def test_related_work_rows(self, monkeypatch):
+        monkeypatch.setattr(extensions, "RELATED_ENGINES", ("DDFS-Like", "DeFrag"))
+        res = run_experiment("related-work", ExperimentConfig.small())
         assert set(res.series) == {"DDFS-Like", "DeFrag"}
         for values in res.series.values():
             assert len(values) == 4
@@ -80,9 +79,10 @@ class TestExtensions:
         # selective dedup must restore at least as fast as plain DDFS
         assert res.series["DeFrag"][3] >= res.series["DDFS-Like"][3] * 0.9
 
-    def test_gc_study_reclaims(self):
-        cfg = ExperimentConfig.small()
-        res = extensions.gc_study(cfg, retain_last=2, min_utilization=0.8)
+    def test_gc_study_reclaims(self, monkeypatch):
+        monkeypatch.setattr(extensions, "GC_RETAIN_LAST", 2)
+        monkeypatch.setattr(extensions, "GC_MIN_UTILIZATION", 0.8)
+        res = run_experiment("gc-study", ExperimentConfig.small())
         values = res.series["value"]
         before_mib, after_mib, reclaimed = values[0], values[1], values[2]
         assert after_mib <= before_mib

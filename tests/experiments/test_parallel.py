@@ -11,11 +11,12 @@ import time
 
 import pytest
 
-from repro.experiments import common, fig4
+from repro.experiments import common
 from repro.experiments.config import ExperimentConfig
 from repro.obs import ListEventSink, Observability, obs_session
 from repro.parallel import CellSpec, cell_seed, resolve, run_grid
 from repro.parallel.grid import _dedupe
+from tests.experiments import run_experiment
 
 
 @pytest.fixture(autouse=True)
@@ -181,7 +182,7 @@ class TestFigureEquivalence:
         sink = ListEventSink()
         try:
             with obs_session(Observability(events=sink)) as obs:
-                result = fig4.run(cfg, jobs=jobs)
+                result = run_experiment("fig4", cfg, jobs=jobs)
         finally:
             common.clear_memo()
         return result, obs.registry.snapshot(), sink.events
@@ -205,11 +206,11 @@ class TestFigureEquivalence:
         to the obs-off run."""
         common.clear_memo()
         cfg = ExperimentConfig.small()
-        plain = fig4.run(cfg, jobs=1)
+        plain = run_experiment("fig4", cfg, jobs=1)
         common.clear_memo()
         try:
             with obs_session(Observability(events=ListEventSink())) as obs:
-                traced = fig4.run(cfg, jobs=1)
+                traced = run_experiment("fig4", cfg, jobs=1)
         finally:
             common.clear_memo()
         assert traced.table() == plain.table()
@@ -231,7 +232,7 @@ class TestFigureResultFailures:
         # time, so patching the module attribute reaches inline execution
         monkeypatch.setattr(common, "group_cell", defrag_only_fails)
         common.clear_memo()
-        result = fig4.run(ExperimentConfig.small(), jobs=1)
+        result = run_experiment("fig4", ExperimentConfig.small(), jobs=1)
         assert result.failures
         assert "# FAILED cell" in result.table()
         import math

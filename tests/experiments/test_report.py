@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.common import clear_memo
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.report import generate_markdown, write_report
+from repro.experiments.report import generate_markdown
 
 
 @pytest.fixture(autouse=True)
@@ -37,9 +37,12 @@ class TestReport:
             assert lines[i + 1].startswith("|---")
             assert lines[i + 2].startswith("| 1 ")
 
-    def test_write_report(self, tmp_path):
-        path = write_report(tmp_path / "r.md", ExperimentConfig.small())
-        assert path.read_text().startswith("# DeFrag reproduction report")
+    def test_cli_save_writes_generated_markdown(self, tmp_path, report_text, capsys):
+        from repro.cli import main
+
+        assert main(["report", "--scale", "small", "--save", str(tmp_path)]) == 0
+        assert (tmp_path / "report.md").read_text() == report_text
+        assert capsys.readouterr().out == report_text + "\n"
 
     def test_cli_report(self, tmp_path, capsys):
         from repro.cli import main

@@ -9,6 +9,7 @@ from repro.cli import build_parser
 from repro.experiments import restore_ablation
 from repro.experiments.config import ExperimentConfig
 from repro.parallel import run_grid
+from tests.experiments import run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +20,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def result(cfg):
-    return restore_ablation.run(cfg)
+    return run_experiment("restore-ablation", cfg)
 
 
 class TestGrid:

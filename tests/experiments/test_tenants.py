@@ -17,10 +17,10 @@ from repro.experiments.tenants import (
     TENANTS,
     assemble,
     cells,
-    run,
     tenants_cell,
 )
 from repro.parallel import run_grid
+from tests.experiments import run_experiment
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -55,7 +55,7 @@ class TestHPDedupEffect:
         """The acceptance criterion: on the skewed mix, prioritized
         allocation's aggregate inline dedup strictly exceeds the
         polluted global LRU's."""
-        result = run(CONFIG)
+        result = run_experiment("tenants", CONFIG)
         total = len(ROWS) - 1
         prio = result.series["prioritized"][total]
         glob = result.series["global-lru"][total]
@@ -66,13 +66,13 @@ class TestHPDedupEffect:
         """gamma's fingerprints never repeat, so its inline dedup is 0
         under every policy — the effect is pure cache allocation, not
         workload leakage."""
-        result = run(CONFIG)
+        result = run_experiment("tenants", CONFIG)
         gamma = TENANTS.index("gamma")
         for policy in POLICIES:
             assert result.series[policy][gamma] == 0.0
 
     def test_high_locality_tenant_wins_under_prioritization(self):
-        result = run(CONFIG)
+        result = run_experiment("tenants", CONFIG)
         alpha = TENANTS.index("alpha")
         assert (
             result.series["prioritized"][alpha]

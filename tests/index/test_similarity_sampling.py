@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.index.sampling import jaccard, minhash_signature, sample_fingerprints
+from repro.index.sampling import sample_fingerprints
 from repro.index.similarity import SimilarityIndex
 
 
@@ -87,49 +87,3 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_fingerprints(np.zeros(1, dtype=np.uint64), 0)
 
-
-class TestMinhash:
-    def test_identical_sets_identical_sig(self):
-        fps = np.arange(100, dtype=np.uint64)
-        assert np.array_equal(minhash_signature(fps, 4), minhash_signature(fps, 4))
-
-    def test_disjoint_sets_differ(self):
-        a = minhash_signature(np.arange(100, dtype=np.uint64))
-        b = minhash_signature(np.arange(1000, 1100, dtype=np.uint64))
-        assert not np.array_equal(a, b)
-
-    def test_empty_returns_max(self):
-        sig = minhash_signature(np.zeros(0, dtype=np.uint64), 3)
-        assert (sig == np.iinfo(np.uint64).max).all()
-
-    def test_similarity_estimation_tracks_jaccard(self):
-        rng = np.random.default_rng(0)
-        base = rng.integers(0, 2**63, 2000).astype(np.uint64)
-        a = base[:1500]
-        b = base[500:]  # ~50% overlap
-        k = 64
-        sa = minhash_signature(a, k)
-        sb = minhash_signature(b, k)
-        est = float((sa == sb).mean())
-        true = jaccard(a, b)
-        assert abs(est - true) < 0.15
-
-
-class TestJaccard:
-    def test_identical(self):
-        a = np.arange(10, dtype=np.uint64)
-        assert jaccard(a, a) == 1.0
-
-    def test_disjoint(self):
-        assert jaccard(
-            np.arange(10, dtype=np.uint64), np.arange(20, 30, dtype=np.uint64)
-        ) == 0.0
-
-    def test_both_empty(self):
-        e = np.zeros(0, dtype=np.uint64)
-        assert jaccard(e, e) == 1.0
-
-    def test_half_overlap(self):
-        a = np.arange(0, 10, dtype=np.uint64)
-        b = np.arange(5, 15, dtype=np.uint64)
-        assert jaccard(a, b) == pytest.approx(5 / 15)

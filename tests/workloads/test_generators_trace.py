@@ -10,7 +10,6 @@ from repro.workloads.generators import (
     single_user_incrementals,
     single_user_stream,
 )
-from repro.workloads.trace import load_trace, save_trace
 
 
 class TestSingleUserStream:
@@ -75,20 +74,3 @@ class TestGroupWorkload:
         shared = set(u0_first.fps.tolist()) & set(u0_second.fps.tolist())
         assert shared  # but highly redundant
 
-
-class TestTrace:
-    def test_roundtrip(self, tmp_path, small_jobs):
-        path = tmp_path / "trace.npz"
-        n = save_trace(small_jobs, path)
-        assert n == len(small_jobs)
-        loaded = list(load_trace(path))
-        assert len(loaded) == len(small_jobs)
-        for a, b in zip(small_jobs, loaded):
-            assert a.generation == b.generation
-            assert a.label == b.label
-            assert a.stream == b.stream
-
-    def test_empty_trace(self, tmp_path):
-        path = tmp_path / "empty.npz"
-        assert save_trace([], path) == 0
-        assert list(load_trace(path)) == []
